@@ -4,21 +4,19 @@ Every command writes a single JSON report to standard output and reserves
 standard error for diagnostics.  Exit codes: 0 pass, 1 a hard check failed,
 2 usage or input error, 3 a documented reference discrepancy was reproduced
 (never silently passed).  Reports are deterministic for fixed flags and
-embed the artifact version.  DEGEX_THREADS caps internal parallelism.
+embed the artifact version.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
 from .charts import delta_coincidence_check, verify_samples, verify_torus_pairs
+from .complexes import euler_of_counts, f_vector
 from .complexes import export as export_complex
-from .complexes import f_vector
 from .expansion import (
     assignment_from_json_obj,
     check_gluing,
@@ -44,21 +42,6 @@ EXIT_FLAGGED = 3
 _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "flagged": EXIT_FLAGGED}
 
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("DEGEX_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = thread_count()
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit(command: str, inputs: dict, results: dict, status: str) -> int:
     report = {
         "command": command,
@@ -71,16 +54,37 @@ def _emit(command: str, inputs: dict, results: dict, status: str) -> int:
     return _STATUS_CODE[status]
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_taus(raw: list[str] | None) -> list[Fraction]:
     if not raw:
         return [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)]
-    return [Fraction(s) for s in raw]
+    return [_parse_fraction(s) for s in raw]
 
 
 def _parse_params(raw: str | None):
     if raw is None:
         return None
-    return [Fraction(part) for part in raw.split(",") if part]
+    return [_parse_fraction(part) for part in raw.split(",") if part]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive count, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, like every other input error."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _load_assignment(model, spec: str):
@@ -150,8 +154,7 @@ def cmd_certify(args) -> int:
     else:
         certs = builtin_certificates()
     taus = _parse_taus(args.tau)
-    jobs = [(cert, tau) for cert in certs for tau in taus]
-    face_results = _parallel_map(lambda job: check_strict_convexity(*job), jobs)
+    face_results = [check_strict_convexity(cert, tau) for cert in certs for tau in taus]
     face_results.sort(key=lambda r: (r.face, r.tau))
     results = {"faces": [r.to_json_obj() for r in face_results]}
     if args.all_edges:
@@ -215,7 +218,7 @@ def cmd_hilb_count(args) -> int:
             results["index_convention"] = info["index_convention"]
         fv = results.get("closure_f_vector") or results.get("case_f_vector")
         results["f_vector"] = fv
-        results["euler"] = sum((-1) ** d * c for d, c in enumerate(fv))
+        results["euler"] = euler_of_counts(fv)
         if "case_f_vector" in results and "closure_f_vector" in results:
             results["agreement"] = results["case_f_vector"] == results["closure_f_vector"]
         reference = compare_with_reference(fv, args.model, m=args.m)
@@ -272,7 +275,7 @@ def cmd_export(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="degex",
         description="exact workbench for expanded degenerations and their "
         "Hilbert-square dual complexes",
@@ -308,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     charts_sub = p.add_subparsers(dest="charts_command", required=True)
     pv = charts_sub.add_parser("verify", help="verify chart relations on samples")
     pv.add_argument("--n", type=int, required=True)
-    pv.add_argument("--samples", type=int, default=1000)
+    pv.add_argument("--samples", type=_positive_int, default=1000)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--pairs", type=int, default=100, help="torus action pairs")
+    pv.add_argument("--pairs", type=_positive_int, default=100, help="torus action pairs")
     pv.set_defaults(fn=cmd_charts_verify)
 
     p = sub.add_parser("hilb", help="Hilbert-square dual complex commands")

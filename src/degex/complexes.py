@@ -11,7 +11,7 @@ boundary matrices; integral torsion of H1 is reported via Smith normal form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import IntMatrix, rank_over_rationals, smith_normal_form
 
@@ -251,7 +251,6 @@ def export(K: DeltaComplex, format: str) -> bytes:
 
 def face_relation_signature(K: DeltaComplex):
     """Face relations in canonical cell order, for isomorphism-of-export tests."""
-    order = {c.id: (c.dim, c.label, i) for i, c in enumerate(K.cells())}
     sig = []
     for c in K.cells():
         sig.append(

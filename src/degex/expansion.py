@@ -24,7 +24,7 @@ the closed-surface invariants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Cell, DeltaComplex
@@ -65,6 +65,13 @@ class BlowupAssignment:
             {"vertices": list(t), "first": f, "second": s}
             for t, (f, s) in sorted(self.pairs.items())
         ]
+
+
+def edge_roles(assignment: BlowupAssignment, tri) -> dict[str, tuple[Pair, str]]:
+    """The triangle's F-S, S-T and F-T edges, each with its distinguished
+    endpoint: S on the F-S and S-T edges, T on the F-T edge."""
+    F, S, T = assignment.roles(tri)
+    return {"FS": (edge_key(F, S), S), "ST": (edge_key(S, T), S), "FT": (edge_key(F, T), T)}
 
 
 def default_quartic_assignment() -> BlowupAssignment:
@@ -127,11 +134,13 @@ def get_assignment(model: SurfaceModel, kind: str) -> BlowupAssignment:
 
 def assignment_from_json_obj(model: SurfaceModel, obj) -> BlowupAssignment:
     """Parse {"triangles": [{"opposite": ...| "vertices": [...], "first":, "second":}]}"""
-    tris = obj.get("triangles")
+    tris = obj.get("triangles") if isinstance(obj, dict) else None
     if not isinstance(tris, list):
-        raise ValueError("assignment file must carry a 'triangles' list")
+        raise ValueError("assignment file must be an object carrying a 'triangles' list")
     pairs = {}
     for entry in tris:
+        if not isinstance(entry, dict):
+            raise ValueError("each triangle entry must be an object")
         if "vertices" in entry:
             tri = tuple(sorted(entry["vertices"]))
         elif "opposite" in entry:
@@ -261,8 +270,7 @@ def subdivide(
     edge_census: dict = {}
     distinguished: dict = {}
     for tri in model.triangles:
-        F, S, T = assignment.roles(tri)
-        for e, dist in ((edge_key(F, S), S), (edge_key(S, T), S), (edge_key(F, T), T)):
+        for e, dist in edge_roles(assignment, tri).values():
             u, _w = e
             census = tuple(
                 ((P[k - 1] if dist == u else 1 - P[k - 1]), k) for k in range(1, n + 1)
@@ -341,6 +349,7 @@ def subdivide(
 
     for tri in model.triangles:
         F, S, T = assignment.roles(tri)
+        roles = edge_roles(assignment, tri)
         coords = {_vid(F): (Fraction(1), Fraction(0)),
                   _vid(S): (Fraction(0), Fraction(1)),
                   _vid(T): (Fraction(0), Fraction(0))}
@@ -351,7 +360,7 @@ def subdivide(
             by_coord[(a, b)] = cid
 
         # place every edge point of the three boundary edges in local coords
-        for e in (edge_key(F, S), edge_key(S, T), edge_key(F, T)):
+        for e, _ in roles.values():
             cu = coords[_vid(e[0])]
             cw = coords[_vid(e[1])]
             for pos, vid_ in edge_points[e]:
@@ -414,8 +423,7 @@ def subdivide(
                 regions.append(Region(tri, (i, j), tuple(cycle)))
 
         # colored segments and arrows, from this triangle's point of view
-        for e in (edge_key(F, S), edge_key(S, T), edge_key(F, T)):
-            dist = distinguished[e][tri]
+        for e, dist in roles.values():
             u, w = e
             # symbol of the atomic segment [a, b] (positions from u): the
             # number of this side's nodes strictly before it, counted from
@@ -527,16 +535,14 @@ def check_gluing(E: ExpandedComplex) -> GluingReport:
 
 
 def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
-    """Propagate per-level arrows and report every cell with a conflict.
+    """Report every subdivision node whose sides disagree on its arrows.
 
-    Each subdivision node receives, from each adjacent triangle, one arrow
-    per expansion level pointing along its carrier edge toward that side's
-    distinguished endpoint (the inward colored-segment arrows normalize to
-    this single direction; an arrow of the opposite color is the same arrow
-    reversed).  A shared node is compatible when both sides agree on its
-    level and direction.  Chord cells inherit a perpendicular arrow from
-    their endpoint nodes and are flagged when an endpoint disagrees with the
-    chord's level or orientation.
+    Each adjacent triangle gives a node one arrow per level, pointing along
+    the carrier edge toward that side's distinguished endpoint.  Positions
+    are strictly increasing, so each side gives a node exactly one level.
+    The owning triangle always agrees with its own arrow at a chord
+    endpoint, so a chord can only disagree where another side's arrow
+    differs, which is a node mismatch: chords need no check of their own.
     """
     conflicts = []
     for nid in sorted(E.node_arrows):
@@ -558,59 +564,6 @@ def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
                     }
                 )
                 break
-
-    # chord checks: every chord expects its endpoints to carry its level with
-    # a consistent perpendicular orientation in the owning triangle's frame
-    n = E.level
-    if n > 0:
-        P = (Fraction(0),) + E.positions + (Fraction(1),)
-        for tri in E.model.triangles:
-            F, S, T = E.assignment.roles(tri)
-            fs, st, ft = edge_key(F, S), edge_key(S, T), edge_key(F, T)
-
-            def node_id(e, level):
-                dist = E.distinguished[e][tri]
-                pos = P[level] if dist == e[0] else 1 - P[level]
-                return f"x:{e[0]}|{e[1]}@{pos}"
-
-            def endpoint_ok(nid, level, expect_toward: str) -> bool:
-                # merged view: every side's arrow at this node must carry the
-                # chord's level, pointing so that its perpendicular component
-                # matches the chord orientation; `expect_toward` names the
-                # vertex of the carrier edge on the expected side
-                for t2, arrows in E.node_arrows.get(nid, {}).items():
-                    if level not in arrows:
-                        return False
-                    if arrows[level] != expect_toward:
-                        return False
-                return True
-
-            for j in range(1, n + 1):
-                # vertical chord at level j: perpendicular arrows point away
-                # from F, i.e. both endpoint arrows point toward the far ends
-                ok_fs = endpoint_ok(node_id(fs, j), j, _vid(S))
-                ok_ft = endpoint_ok(node_id(ft, j), j, _vid(T))
-                if not (ok_fs and ok_ft):
-                    conflicts.append(
-                        {
-                            "cell": f"chordA:{'|'.join(tri)}#{j}",
-                            "kind": "chord perpendicular mismatch",
-                            "triangle": list(tri),
-                            "level": j,
-                        }
-                    )
-                # horizontal chord at level j: perpendicular arrows toward S
-                ok_fs2 = endpoint_ok(node_id(fs, j), j, _vid(S))
-                ok_st = endpoint_ok(node_id(st, j), j, _vid(S))
-                if not (ok_fs2 and ok_st):
-                    conflicts.append(
-                        {
-                            "cell": f"chordB:{'|'.join(tri)}#{j}",
-                            "kind": "chord perpendicular mismatch",
-                            "triangle": list(tri),
-                            "level": j,
-                        }
-                    )
     return TorusReport(compatible=not conflicts, conflicts=conflicts)
 
 

@@ -21,19 +21,11 @@ complex.  They must agree family by family; a mismatch is a hard failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, zip_longest
 
-from .complexes import (
-    Cell,
-    DeltaComplex,
-    betti_numbers,
-    euler_of_counts,
-    f_vector,
-    h1_torsion,
-    validate,
-)
-from .expansion import BlowupAssignment, get_assignment
-from .models import SurfaceModel, edge_key, get_model
+from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector, validate
+from .expansion import BlowupAssignment, edge_roles, get_assignment
+from .models import SurfaceModel, get_model
 
 # f-vector of the known 10-vertex simplicial triangulation of CP^2, which
 # the quartic complex must reproduce exactly
@@ -49,12 +41,6 @@ INDEX_CONVENTION_NOTE = (
 )
 
 
-def max_limit_index(a1: int, a2: int, a3: int) -> int:
-    """Index of the base coordinate forced to vanish by a maximal limit
-    with a1, a2, a3 points on the three components of a corner chart."""
-    return 2 * a2 + a3
-
-
 class ExpansionStructure:
     """Distinguished endpoints and corner roles induced by an assignment."""
 
@@ -66,17 +52,9 @@ class ExpansionStructure:
         self.far_end: dict = {}
         self.role_edges: dict = {}
         for tri in model.triangles:
-            F, S, T = assignment.roles(tri)
-            self.role_edges[tri] = {
-                "FS": edge_key(F, S),
-                "ST": edge_key(S, T),
-                "FT": edge_key(F, T),
-            }
-            for e, dist in (
-                (edge_key(F, S), S),
-                (edge_key(S, T), S),
-                (edge_key(F, T), T),
-            ):
+            roles = edge_roles(assignment, tri)
+            self.role_edges[tri] = {role: e for role, (e, _) in roles.items()}
+            for e, dist in roles.values():
                 prev = self.distinguished.get(e)
                 if prev is not None and prev != dist:
                     raise ValueError(
@@ -213,10 +191,6 @@ def specialize(cfg: ConfigType, structure: ExpansionStructure) -> list[ConfigTyp
 
 # ---------------------------------------------------------------------------
 # case-family enumeration (independent of the closure construction)
-
-
-def _edges_of(tri):
-    return [edge_key(a, b) for a, b in combinations(tri, 2)]
 
 
 def _pair_relation(model: SurfaceModel, e, f) -> str:
@@ -411,12 +385,6 @@ class EnumerationMismatch(Exception):
         self.diff = diff
 
 
-@dataclass(frozen=True)
-class SimplexRecord:
-    config: ConfigType
-    facet_keys: tuple[str, ...]
-
-
 def closure_levels(structure: ExpansionStructure, m: int = 2) -> dict[int, list[ConfigType]]:
     """Specialization closure of the codimension-1 types, level by level."""
     levels: dict[int, list[ConfigType]] = {1: all_stable(structure, 1, m)}
@@ -463,7 +431,6 @@ def build_pi(model: SurfaceModel, m: int = 2):
                 )
 
     cells = []
-    records = []
     for c, cfgs in sorted(levels.items()):
         for cfg in cfgs:
             if c == 1:
@@ -473,9 +440,6 @@ def build_pi(model: SurfaceModel, m: int = 2):
                 faces = tuple(
                     (fs[i].canonical_key, 1 if i % 2 == 0 else -1)
                     for i in range(len(fs))
-                )
-                records.append(
-                    SimplexRecord(cfg, tuple(f.canonical_key for f in fs))
                 )
             cells.append(
                 Cell(
@@ -496,7 +460,6 @@ def build_pi(model: SurfaceModel, m: int = 2):
         "m": m,
         "f_vector": list(f_vector(K)),
         "index_convention": INDEX_CONVENTION_NOTE,
-        "records": records,
     }
     return K, info
 
@@ -537,7 +500,7 @@ def compare_with_reference(fv, model_name: str, m: int = 2) -> dict:
             f"inconsistent with the target {target_euler}"
         )
     if fv != ref:
-        dims = [d for d in range(max(len(fv), len(ref))) if (fv + (0,) * 9)[d] != (ref + (0,) * 9)[d]]
+        dims = [d for d, (a, b) in enumerate(zip_longest(fv, ref, fillvalue=0)) if a != b]
         flags.append(f"computed f-vector differs from {ref_name} at dimensions {dims}")
     if euler_of_counts(fv) != target_euler:
         flags.append(

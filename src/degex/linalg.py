@@ -5,23 +5,6 @@ integer matrices; all operations are exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-
-Rational = Fraction
-
-
-@dataclass(frozen=True)
-class FaceCoord:
-    """A point in a face's reference frame, with coordinates (c, q)."""
-
-    c: Rational
-    q: Rational
-
-    def in_reference_triangle(self) -> bool:
-        return 0 <= self.q <= self.c <= 1
-
 
 class IntMatrix:
     """Dense integer matrix with explicit dimensions."""
@@ -182,45 +165,3 @@ def smith_normal_form(M: IntMatrix) -> list[int]:
         if t >= n or t >= m:
             break
     return factors
-
-
-def rank_oracle_gauss(M: IntMatrix) -> int:
-    """Naive Gaussian elimination over Fraction; independent of Bareiss."""
-    a = [[Fraction(v) for v in row] for row in M.entries]
-    n, m = M.rows, M.cols
-    rank = 0
-    for j in range(m):
-        piv = next((i for i in range(rank, n) if a[i][j] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][j]
-        for i in range(n):
-            if i != rank and a[i][j] != 0:
-                f = a[i][j] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
-def gcd_of_minors(M: IntMatrix, k: int) -> int:
-    """gcd of all k x k minors of M (0 if all vanish); brute force oracle."""
-    from itertools import combinations
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return M[rows[0], cols[0]]
-        total = 0
-        for idx, c in enumerate(cols):
-            sub = det(rows[1:], cols[:idx] + cols[idx + 1 :])
-            term = M[rows[0], c] * sub
-            total += term if idx % 2 == 0 else -term
-        return total
-
-    g = 0
-    for rows in combinations(range(M.rows), k):
-        for cols in combinations(range(M.cols), k):
-            g = gcd(g, det(list(rows), list(cols)))
-    return g

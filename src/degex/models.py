@@ -51,9 +51,6 @@ class SurfaceModel:
     def triangles_containing_edge(self, e: tuple[str, str]) -> list[tuple[str, str, str]]:
         return [t for t in self.triangles if set(e) <= set(t)]
 
-    def triangles_containing_vertex(self, v: str) -> list[tuple[str, str, str]]:
-        return [t for t in self.triangles if v in t]
-
 
 def make_surface_model(
     name: str,
@@ -122,10 +119,6 @@ def cube_model() -> SurfaceModel:
     curves = tuple((e, 2) for e in sorted(edges))
     meta = SingularityData(24, curves)
     return make_surface_model("cube", triangles, meta)
-
-
-def cube_opposite_pairs() -> tuple[tuple[str, str], ...]:
-    return (("Y1", "Y2"), ("Y3", "Y4"), ("Y5", "Y6"))
 
 
 def get_model(name: str) -> SurfaceModel:

@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import FaceCoord
-
 Coord = tuple[Fraction, Fraction]
 
 
@@ -41,7 +39,7 @@ class AffinePiece:
 
 
 @dataclass(frozen=True)
-class Region:
+class ExpectedRegion:
     name: str
     polygon: tuple[Coord, ...]
 
@@ -72,14 +70,14 @@ class FaceCertificate:
             "cut_S": along(S, T, tau),
         }
 
-    def expected_regions(self, tau: Fraction) -> tuple[Region, ...]:
+    def expected_regions(self, tau: Fraction) -> tuple[ExpectedRegion, ...]:
         F, S, T = (self.corners[r] for r in self.roles)
         pts = self.marked_points(tau)
         v, w, u = pts["node"], pts["cut_F"], pts["cut_S"]
         return (
-            Region("quad-third", (T, u, v, w)),
-            Region("corner-second", (u, S, v)),
-            Region("corner-first", (v, F, w)),
+            ExpectedRegion("quad-third", (T, u, v, w)),
+            ExpectedRegion("corner-second", (u, S, v)),
+            ExpectedRegion("corner-first", (v, F, w)),
         )
 
     def interior_walls(self, tau: Fraction):
@@ -235,8 +233,9 @@ def check_strict_convexity(cert: FaceCertificate, tau: Fraction) -> ConvexityRes
                 )
 
     def values(pt: Coord):
-        assert FaceCoord(*pt).in_reference_triangle(), "sample left the face"
-        return [p.value(pt[0], pt[1], tau) for p in cert.pieces]
+        c, q = pt
+        assert 0 <= q <= c <= 1, "sample left the face"
+        return [p.value(c, q, tau) for p in cert.pieces]
 
     matching: dict = {}
     used: dict = {}

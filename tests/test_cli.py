@@ -1,10 +1,15 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from degex.cli import run
+from degex.expansion import default_quartic_assignment
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(argv, capsys):
@@ -187,7 +192,46 @@ def test_module_invocation_subprocess():
     assert report["results"]["f_vector"] == [6, 12, 8]
 
 
-def test_threads_env_honored(capsys, monkeypatch):
-    monkeypatch.setenv("DEGEX_THREADS", "4")
-    code, report = invoke(["certify-projectivity"], capsys)
-    assert code == 0 and all(f["ok"] for f in report["results"]["faces"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "quartic", "--n", "2", "--params", "1/0,1/2"],
+        ["certify-projectivity", "--tau", "1/0"],
+        ["charts", "verify", "--n", "2", "--samples", "-5"],
+    ],
+)
+def test_bad_argument_is_one_line_usage_error(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [{"opposite": "Y4", "first": "Y1", "second": "Y2"}],
+        {"triangles": [["Y1", "Y2", "Y3"]]},
+    ],
+)
+def test_malformed_assignment_file_is_one_line_usage_error(payload, tmp_path, capsys):
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps(payload))
+    assert run(["expand", "quartic", "--n", "1", "--assignment", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assignment = {"triangles": default_quartic_assignment().to_json_obj()}
+    (tmp_path / "my_assignment.json").write_text(json.dumps(assignment))
+    lines = [line for line in README.read_text().splitlines() if line.startswith("degex ")]
+    assert lines
+    for line in lines:
+        command, _, comment = line.partition("#")
+        documented = re.search(r"exits (\d)", comment)
+        expected = int(documented.group(1)) if documented else 0
+        assert run(command.split()[1:]) == expected, line
+        json.loads(capsys.readouterr().out)

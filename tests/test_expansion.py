@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -173,6 +174,23 @@ def test_torus_compatibility_passes_for_good_assignments():
         assert check_torus_compatibility(Ec).compatible
 
 
+def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
+    # the lemma that lets the torus check skip chords: a chord endpoint can
+    # only disagree with its owning triangle where the node's sides differ
+    m = quartic_model()
+    assignments = [
+        BlowupAssignment(dict(zip(m.triangles, pairs)))
+        for pairs in product(*(permutations(t, 2) for t in m.triangles))
+    ]
+    assert len(assignments) == 1296
+    for assignment in assignments:
+        for n in (1, 2):
+            E = subdivide(m, assignment, n)
+            for sides in E.node_arrows.values():
+                assert all(len(arrows) == 1 for arrows in sides.values())
+            assert check_torus_compatibility(E).compatible == check_gluing(E).glues
+
+
 def flipped_corner_assignment():
     pairs = dict(default_quartic_assignment().pairs)
     f, s = pairs[("Y1", "Y2", "Y3")]
@@ -187,7 +205,7 @@ def test_flipped_corner_reports_named_conflict():
         report = check_torus_compatibility(E)
         assert not report.compatible
         assert all("cell" in c for c in report.conflicts)
-        assert any(c["kind"] == "node arrow mismatch" for c in report.conflicts)
+        assert all(c["kind"] == "node arrow mismatch" for c in report.conflicts)
 
 
 def test_flipped_corner_also_fails_gluing_on_colors():

@@ -18,7 +18,6 @@ from degex.hilb import (
     enumerate_cases,
     facets,
     make_config,
-    max_limit_index,
     specialize,
     structure_for,
 )
@@ -59,6 +58,12 @@ def test_quartic_closure_f_vector_and_validation():
 
 def test_quartic_homology():
     K, _ = build_pi(quartic_model(), m=2)
+    assert betti_numbers(K) == (1, 0, 1, 0, 1)
+    assert h1_torsion(K) == []
+
+
+def test_cube_homology():
+    K, _ = build_pi(cube_model(), m=2)
     assert betti_numbers(K) == (1, 0, 1, 0, 1)
     assert h1_torsion(K) == []
 
@@ -177,12 +182,6 @@ def test_compare_with_reference_cube_flags():
 def test_compare_with_reference_m1():
     rep = compare_with_reference((4, 6, 4), "quartic", m=1)
     assert rep["matches_reference"] and rep["flags"] == []
-
-
-def test_max_limit_index():
-    assert max_limit_index(1, 1, 0) == 2
-    assert max_limit_index(0, 2, 0) == 4
-    assert max_limit_index(0, 0, 2) == 2
 
 
 def test_symmetry_equivariance_on_cube():

@@ -1,13 +1,9 @@
 import random
 from fractions import Fraction
 
-from degex.linalg import (
-    IntMatrix,
-    gcd_of_minors,
-    rank_oracle_gauss,
-    rank_over_rationals,
-    smith_normal_form,
-)
+from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form
+
+from oracles import gcd_of_minors, rank_oracle_gauss
 
 
 def test_rank_identity():
