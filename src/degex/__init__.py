@@ -9,4 +9,14 @@ __version__ = "0.1.0"
 
 from fractions import Fraction as Rational
 
-__all__ = ["Rational", "__version__"]
+__all__ = ["Rational", "__version__", "parse_fraction"]
+
+
+def parse_fraction(text) -> Rational:
+    """Exact rational from input such as "1/3"; bad input is a ValueError."""
+    try:
+        return Rational(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except TypeError:
+        raise ValueError(f"not a fraction: {text!r}") from None

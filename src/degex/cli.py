@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, parse_fraction
 from .charts import delta_coincidence_check, verify_samples, verify_torus_pairs
 from .complexes import euler_of_counts, f_vector
 from .complexes import export as export_complex
@@ -29,7 +29,6 @@ from .hilb import (
     EnumerationMismatch,
     build_pi,
     compare_with_reference,
-    enumerate_cases,
     homology_report,
 )
 from .models import find_3_labeling, get_model, model_report
@@ -54,23 +53,16 @@ def _emit(command: str, inputs: dict, results: dict, status: str) -> int:
     return _STATUS_CODE[status]
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _parse_taus(raw: list[str] | None) -> list[Fraction]:
     if not raw:
         return [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)]
-    return [_parse_fraction(s) for s in raw]
+    return [parse_fraction(s) for s in raw]
 
 
 def _parse_params(raw: str | None):
     if raw is None:
         return None
-    return [_parse_fraction(part) for part in raw.split(",") if part]
+    return [parse_fraction(part) for part in raw.split(",") if part]
 
 
 def _positive_int(text: str) -> int:
@@ -200,27 +192,18 @@ def cmd_charts_verify(args) -> int:
 
 def cmd_hilb_count(args) -> int:
     model = get_model(args.model)
-    by = "both"
-    if args.by_case:
-        by = "case"
-    if args.by_closure:
-        by = "closure"
-    results: dict = {"m": args.m, "enumerators": by}
+    results: dict = {"m": args.m, "enumerators": "both"}
     status = "pass"
     try:
-        if args.m == 2 and by in ("both", "case"):
-            breakdowns = [enumerate_cases(model, k).to_json_obj() for k in range(5)]
-            results["breakdowns"] = breakdowns
-            results["case_f_vector"] = [b["total"] for b in breakdowns]
-        if by in ("both", "closure") or args.m == 1:
-            K, info = build_pi(model, m=args.m)
-            results["closure_f_vector"] = info["f_vector"]
-            results["index_convention"] = info["index_convention"]
-        fv = results.get("closure_f_vector") or results.get("case_f_vector")
-        results["f_vector"] = fv
+        _, info = build_pi(model, m=args.m)
+        fv = info["f_vector"]
+        results["closure_f_vector"] = results["f_vector"] = fv
+        results["index_convention"] = info["index_convention"]
+        if "breakdowns" in info:
+            results["breakdowns"] = [b.to_json_obj() for b in info["breakdowns"]]
+            results["case_f_vector"] = [b.total() for b in info["breakdowns"]]
+            results["agreement"] = results["case_f_vector"] == fv
         results["euler"] = euler_of_counts(fv)
-        if "case_f_vector" in results and "closure_f_vector" in results:
-            results["agreement"] = results["case_f_vector"] == results["closure_f_vector"]
         reference = compare_with_reference(fv, args.model, m=args.m)
         results["reference_comparison"] = reference
         if reference["flags"]:
@@ -230,7 +213,7 @@ def cmd_hilb_count(args) -> int:
         status = "fail"
     return _emit(
         "hilb count",
-        {"model": args.model, "m": args.m, "by": by},
+        {"model": args.model, "m": args.m, "by": "both"},
         results,
         status,
     )
@@ -320,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     hilb_sub = p.add_subparsers(dest="hilb_command", required=True)
     pc = hilb_sub.add_parser("count", help="enumerate cells")
     pc.add_argument("model", choices=["quartic", "cube"])
-    pc.add_argument("--by-case", action="store_true")
-    pc.add_argument("--by-closure", action="store_true")
     pc.add_argument("--m", type=int, choices=[1, 2], default=2)
     pc.set_defaults(fn=cmd_hilb_count)
     ph = hilb_sub.add_parser("homology", help="Betti numbers of the complex")
@@ -346,7 +327,7 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"degex: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

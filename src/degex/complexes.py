@@ -29,23 +29,6 @@ class Cell:
                 raise ValueError(f"cell {self.id}: face sign must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class FVector:
-    counts: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __getitem__(self, d):
-        return self.counts[d]
-
-    def __len__(self):
-        return len(self.counts)
-
-    def euler(self) -> int:
-        return euler_of_counts(self.counts)
-
-
 def euler_of_counts(counts) -> int:
     """Alternating sum of an f-vector given as a plain sequence."""
     return sum((-1) ** d * c for d, c in enumerate(counts))
@@ -66,12 +49,13 @@ class DeltaComplex:
 
     def __init__(self, cells):
         self._cells: dict[str, Cell] = {}
-        self._insertion: dict[str, int] = {}
-        for idx, cell in enumerate(cells):
+        for cell in cells:
             if cell.id in self._cells:
                 raise ValueError(f"duplicate cell id {cell.id}")
             self._cells[cell.id] = cell
-            self._insertion[cell.id] = idx
+        # sorted is stable and the dict keeps insertion order, so ties in
+        # (dimension, label) stay in insertion order
+        self._order = sorted(self._cells.values(), key=lambda c: (c.dim, c.label))
         self.dimension = max((c.dim for c in self._cells.values()), default=0)
 
     def __contains__(self, cell_id):
@@ -85,10 +69,7 @@ class DeltaComplex:
 
     def cells(self) -> list[Cell]:
         """Cells in the canonical order (dimension, label, insertion order)."""
-        return sorted(
-            self._cells.values(),
-            key=lambda c: (c.dim, c.label, self._insertion[c.id]),
-        )
+        return list(self._order)
 
     def cells_of_dim(self, d: int) -> list[Cell]:
         return [c for c in self.cells() if c.dim == d]
@@ -146,15 +127,15 @@ def validate(K: DeltaComplex) -> list[Violation]:
     return violations
 
 
-def f_vector(K: DeltaComplex) -> FVector:
+def f_vector(K: DeltaComplex) -> tuple[int, ...]:
     counts = [0] * (K.dimension + 1)
     for cell in K.cells():
         counts[cell.dim] += 1
-    return FVector(tuple(counts))
+    return tuple(counts)
 
 
 def euler_characteristic(K: DeltaComplex) -> int:
-    return f_vector(K).euler()
+    return euler_of_counts(f_vector(K))
 
 
 def boundary_matrix(K: DeltaComplex, d: int) -> IntMatrix:

@@ -151,6 +151,10 @@ def assignment_from_json_obj(model: SurfaceModel, obj) -> BlowupAssignment:
             tri = candidates[0]
         else:
             raise ValueError("each triangle entry needs 'vertices' or 'opposite'")
+        if "first" not in entry or "second" not in entry:
+            raise ValueError("each triangle entry needs 'first' and 'second'")
+        if tri in pairs:
+            raise ValueError(f"triangle {'|'.join(tri)} is listed twice")
         pairs[tri] = (entry["first"], entry["second"])
     assignment = BlowupAssignment(pairs)
     assignment.validate_for(model)

@@ -13,10 +13,12 @@ k+1.  The k+1 facet slots un-vanish one base coordinate each: slot i merges
 the level-i segment away, sending each component to its limit.  These
 collapse maps commute, so the alternating-sign boundary squares to zero.
 
-Two independent enumerations are kept side by side: the case-family counts
-(orbit counting over the model strata, one named family per proof case)
-and the specialization-closure construction that actually assembles the
-complex.  They must agree family by family; a mismatch is a hard failure.
+The complex is built from one concept: every stable type is a cell, its
+faces are given by the facet maps, and validation proves every facet is
+itself a stable type and that the boundary squares to zero.  The
+case-family counts (orbit counting over the model strata, one named family
+per proof case) are an independent census of the same cells; the two must
+agree family by family, and a mismatch is a hard failure.
 """
 from __future__ import annotations
 
@@ -179,18 +181,8 @@ def facets(cfg: ConfigType, structure: ExpansionStructure) -> list[ConfigType]:
     ]
 
 
-def specialize(cfg: ConfigType, structure: ExpansionStructure) -> list[ConfigType]:
-    """All one-step specializations: deeper types having cfg as a facet."""
-    key = cfg.canonical_key
-    return [
-        d
-        for d in all_stable(structure, cfg.codim + 1, m=len(cfg.points))
-        if any(f.canonical_key == key for f in facets(d, structure))
-    ]
-
-
 # ---------------------------------------------------------------------------
-# case-family enumeration (independent of the closure construction)
+# case-family enumeration (independent of the complex construction)
 
 
 def _pair_relation(model: SurfaceModel, e, f) -> str:
@@ -326,7 +318,7 @@ def enumerate_cases(model: SurfaceModel, k: int) -> CaseBreakdown:
 
 
 def classify_config(cfg: ConfigType, model: SurfaceModel) -> str:
-    """Family of a closure-enumerated type, in the case-family taxonomy."""
+    """Family of a stable type, in the case-family taxonomy."""
     base = {"Y": 0, "E": 0, "B": 0}
     for p in cfg.points:
         base[p[0]] += 1
@@ -376,7 +368,7 @@ def classify_config(cfg: ConfigType, model: SurfaceModel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the closure construction
+# the complex
 
 
 class EnumerationMismatch(Exception):
@@ -385,75 +377,52 @@ class EnumerationMismatch(Exception):
         self.diff = diff
 
 
-def closure_levels(structure: ExpansionStructure, m: int = 2) -> dict[int, list[ConfigType]]:
-    """Specialization closure of the codimension-1 types, level by level."""
-    levels: dict[int, list[ConfigType]] = {1: all_stable(structure, 1, m)}
-    c = 1
-    while levels[c]:
-        prev_keys = {cfg.canonical_key for cfg in levels[c]}
-        nxt = [
-            d
-            for d in all_stable(structure, c + 1, m)
-            if any(f.canonical_key in prev_keys for f in facets(d, structure))
-        ]
-        if not nxt:
-            break
-        levels[c + 1] = sorted(nxt)
-        c += 1
-    return levels
-
-
 def build_pi(model: SurfaceModel, m: int = 2):
     """Assemble the dual complex and cross-check it against the case counts.
 
-    Returns (complex, info).  For m = 2 the closure census is compared with
-    enumerate_cases family by family; any disagreement raises
-    EnumerationMismatch carrying the offending canonical keys.
+    Cells are all stable types of every base codimension down to the deepest
+    nonempty one, with faces from the facet maps.  Returns (complex, info).
+    For m = 2 the census is compared with enumerate_cases family by family,
+    and info["breakdowns"] keeps those case counts; any disagreement, or a
+    complex failing validation, raises EnumerationMismatch.
     """
     structure = structure_for(model)
-    levels = closure_levels(structure, m)
+    levels = []
+    while cfgs := all_stable(structure, len(levels) + 1, m):
+        levels.append(cfgs)
 
+    breakdowns = []
     if m == 2:
-        for c, cfgs in levels.items():
-            k = c - 1
-            expected = dict(enumerate_cases(model, k).cases)
+        for k, cfgs in enumerate(levels):
+            breakdown = enumerate_cases(model, k)
+            expected = dict(breakdown.cases)
             got: dict[str, list[str]] = {}
             for cfg in cfgs:
                 got.setdefault(classify_config(cfg, model), []).append(cfg.canonical_key)
             if expected != {fam: len(keys) for fam, keys in got.items()}:
                 raise EnumerationMismatch(
-                    f"case and closure enumerations disagree at dimension {k}",
+                    f"case census and stable types disagree at dimension {k}",
                     {
                         "dimension": k,
                         "case_counts": expected,
-                        "closure_counts": {f: sorted(ks) for f, ks in got.items()},
+                        "stable_type_counts": {f: sorted(ks) for f, ks in got.items()},
                     },
                 )
+            breakdowns.append(breakdown)
 
     cells = []
-    for c, cfgs in sorted(levels.items()):
+    for k, cfgs in enumerate(levels):
         for cfg in cfgs:
-            if c == 1:
-                faces = ()
-            else:
-                fs = facets(cfg, structure)
-                faces = tuple(
-                    (fs[i].canonical_key, 1 if i % 2 == 0 else -1)
-                    for i in range(len(fs))
-                )
+            fs = facets(cfg, structure) if k else []
+            faces = tuple((f.canonical_key, (-1) ** i) for i, f in enumerate(fs))
             cells.append(
-                Cell(
-                    cfg.canonical_key,
-                    c - 1,
-                    " + ".join(point_str(p) for p in cfg.points),
-                    faces,
-                )
+                Cell(cfg.canonical_key, k, " + ".join(point_str(p) for p in cfg.points), faces)
             )
     K = DeltaComplex(cells)
     problems = validate(K)
     if problems:
         raise EnumerationMismatch(
-            "closure complex failed validation", {"violations": [str(p) for p in problems]}
+            "complex failed validation", {"violations": [str(p) for p in problems]}
         )
     info = {
         "model": model.name,
@@ -461,6 +430,8 @@ def build_pi(model: SurfaceModel, m: int = 2):
         "f_vector": list(f_vector(K)),
         "index_convention": INDEX_CONVENTION_NOTE,
     }
+    if breakdowns:
+        info["breakdowns"] = breakdowns
     return K, info
 
 
@@ -477,7 +448,7 @@ def compare_with_reference(fv, model_name: str, m: int = 2) -> dict:
     report: dict = {"computed_f_vector": list(fv), "computed_euler": euler_of_counts(fv)}
     flags = []
     if m == 1:
-        ref = tuple(f_vector(get_model(model_name).sphere))
+        ref = f_vector(get_model(model_name).sphere)
         target_euler = 2
         ref_name = f"dual complex of the {model_name} fibre"
     elif model_name == "quartic":

@@ -37,9 +37,6 @@ class IntMatrix:
         i, j = ij
         self.entries[i][j] = value
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.entries)
-
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)

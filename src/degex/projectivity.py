@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import parse_fraction
+
 Coord = tuple[Fraction, Fraction]
 
 
@@ -104,23 +106,32 @@ class FaceCertificate:
         }
 
 
+def _field(obj, key: str, what: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{what} needs a {key!r} field")
+    return obj[key]
+
+
 def certificate_from_json_obj(obj: dict) -> FaceCertificate:
+    corners = _field(obj, "corners", "face certificate")
     return FaceCertificate(
-        name=obj["name"],
-        corners={k: (Fraction(a), Fraction(b)) for k, (a, b) in obj["corners"].items()},
-        roles=tuple(obj["roles"]),
+        name=_field(obj, "name", "face certificate"),
+        corners={k: (parse_fraction(a), parse_fraction(b)) for k, (a, b) in corners.items()},
+        roles=tuple(_field(obj, "roles", "face certificate")),
         pieces=tuple(
             AffinePiece(
-                Fraction(p["a_c"]), Fraction(p["a_q"]), Fraction(p["a_tau"]), Fraction(p["b"])
+                *(parse_fraction(_field(p, k, "affine piece")) for k in ("a_c", "a_q", "a_tau", "b"))
             )
-            for p in obj["pieces"]
+            for p in _field(obj, "pieces", "face certificate")
         ),
     )
 
 
 def certificates_from_json(text: str) -> list[FaceCertificate]:
-    payload = json.loads(text)
-    return [certificate_from_json_obj(o) for o in payload["faces"]]
+    return [
+        certificate_from_json_obj(o)
+        for o in _field(json.loads(text), "faces", "certificate file")
+    ]
 
 
 def certificates_to_json(certs) -> str:

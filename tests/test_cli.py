@@ -163,17 +163,6 @@ def test_reports_byte_identical(capsys):
     assert first == second
 
 
-def test_hilb_count_enumerator_selection(capsys):
-    code, report = invoke(["hilb", "count", "quartic", "--by-case"], capsys)
-    assert code == 0
-    assert report["results"]["f_vector"] == [10, 45, 110, 120, 48]
-    assert "closure_f_vector" not in report["results"]
-    code, report = invoke(["hilb", "count", "quartic", "--by-closure"], capsys)
-    assert code == 0
-    assert report["results"]["f_vector"] == [10, 45, 110, 120, 48]
-    assert "breakdowns" not in report["results"]
-
-
 def test_expand_depth_zero(capsys):
     code, report = invoke(["expand", "quartic", "--n", "0"], capsys)
     assert code == 0
@@ -198,9 +187,29 @@ def test_module_invocation_subprocess():
         ["expand", "quartic", "--n", "2", "--params", "1/0,1/2"],
         ["certify-projectivity", "--tau", "1/0"],
         ["charts", "verify", "--n", "2", "--samples", "-5"],
+        ["hilb", "count", "quartic", "--by-case"],
+        [
+            "certify-projectivity",
+            "--certificates",
+            {"faces": [{"name": "f", "corners": {}, "roles": [], "pieces": [
+                {"a_c": "0", "a_q": "0", "a_tau": "0", "b": "1/0"}]}]},
+        ],
+        ["certify-projectivity", "--certificates", {"faces": [{"name": "f", "corners": {}}]}],
+        [
+            "certify-projectivity",
+            "--certificates",
+            {"faces": [{"name": "f", "corners": {"Y1": [None, "0"]}, "roles": [], "pieces": []}]},
+        ],
+        ["certify-projectivity", "--certificates", [{"name": "f"}]],
     ],
 )
-def test_bad_argument_is_one_line_usage_error(argv, capsys):
+def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
+    # a JSON object or array in argv stands for a file holding it
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -212,6 +221,9 @@ def test_bad_argument_is_one_line_usage_error(argv, capsys):
     [
         [{"opposite": "Y4", "first": "Y1", "second": "Y2"}],
         {"triangles": [["Y1", "Y2", "Y3"]]},
+        {"triangles": default_quartic_assignment().to_json_obj()
+         + [{"opposite": "Y4", "first": "Y1", "second": "Y2"}]},
+        {"triangles": [{"opposite": "Y4", "first": "Y1"}]},
     ],
 )
 def test_malformed_assignment_file_is_one_line_usage_error(payload, tmp_path, capsys):

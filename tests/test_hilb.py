@@ -1,5 +1,6 @@
 import pytest
 
+from degex import hilb
 from degex.complexes import (
     betti_numbers,
     euler_characteristic,
@@ -12,13 +13,13 @@ from degex.complexes import (
 from degex.hilb import (
     CUBE_CLAIMED_TOTALS,
     REFERENCE_CP2_10_VERTEX,
+    EnumerationMismatch,
+    all_stable,
     build_pi,
     classify_config,
     compare_with_reference,
     enumerate_cases,
-    facets,
     make_config,
-    specialize,
     structure_for,
 )
 from degex.models import cube_model, quartic_model
@@ -93,33 +94,31 @@ def test_facet_slots_and_boundary():
 
 
 def test_specialize_vertex_matches_incidence():
-    m = quartic_model()
-    s = structure_for(m)
-    v = make_config(1, (("Y", "Y1"), ("Y", "Y1")))
-    specs = specialize(v, s)
-    # oracle: codim-2 cells listing this vertex among their facets
-    from degex.hilb import all_stable
+    K, _ = build_pi(quartic_model(), m=2)
+    v = make_config(1, (("Y", "Y1"), ("Y", "Y1"))).canonical_key
+    # the vertex specializes to exactly the edges having it as a face
+    assert sum(1 for e in K.cells_of_dim(1) if v in {fid for fid, _ in e.faces}) == 9
 
-    oracle = [
-        d
-        for d in all_stable(s, 2)
-        if v.canonical_key in {f.canonical_key for f in facets(d, s)}
-    ]
-    assert sorted(c.canonical_key for c in specs) == sorted(
-        c.canonical_key for c in oracle
-    )
-    assert len(specs) == 9
+
+def test_facet_outside_the_stable_types_is_a_dangling_face(monkeypatch):
+    collapse_point = hilb.collapse_point
+
+    def leaky(p, i, c, structure):
+        # send one component of the codimension-2 fibre nowhere
+        if (p, i, c) == (("Y", "Y1"), 1, 2):
+            return ("Y", "Y0")
+        return collapse_point(p, i, c, structure)
+
+    monkeypatch.setattr(hilb, "collapse_point", leaky)
+    with pytest.raises(EnumerationMismatch) as exc:
+        build_pi(quartic_model(), m=2)
+    assert any(v.startswith("dangling face id") for v in exc.value.diff["violations"])
 
 
 def test_codim5_is_deepest():
     m = quartic_model()
     s = structure_for(m)
-    deep = make_config(
-        5, (("B", ("Y1", "Y2", "Y3"), 1, 2), ("B", ("Y1", "Y2", "Y3"), 3, 4))
-    )
-    assert specialize(deep, s) == []
-    from degex.hilb import all_stable
-
+    assert all_stable(s, 5) != []
     assert all_stable(s, 6) == []
 
 
