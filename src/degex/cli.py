@@ -220,12 +220,12 @@ def cmd_hilb_count(args) -> int:
 
 
 def cmd_hilb_homology(args) -> int:
-    model = get_model(args.model)
+    report = homology_report(get_model(args.model), m=args.m)
     return _emit(
         "hilb homology",
         {"model": args.model, "m": args.m},
-        homology_report(model, m=args.m),
-        "pass",
+        report,
+        "pass" if report["matches_target"] else "flagged",
     )
 
 

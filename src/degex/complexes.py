@@ -7,6 +7,8 @@ mechanical one: for every cell the signed sum of faces-of-faces must vanish.
 
 Homology is computed over the rationals from exact ranks of the integer
 boundary matrices; integral torsion of H1 is reported via Smith normal form.
+Boundary matrices are assembled dense, and ``linalg`` reduces them by
+sparse elimination on their +-1 entries.
 """
 from __future__ import annotations
 

@@ -142,7 +142,10 @@ def assignment_from_json_obj(model: SurfaceModel, obj) -> BlowupAssignment:
         if not isinstance(entry, dict):
             raise ValueError("each triangle entry must be an object")
         if "vertices" in entry:
-            tri = tuple(sorted(entry["vertices"]))
+            names = entry["vertices"]
+            if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+                raise ValueError("triangle entry field 'vertices' must be a list of vertex names")
+            tri = tuple(sorted(names))
         elif "opposite" in entry:
             opp = entry["opposite"]
             candidates = [t for t in model.triangles if opp not in t]

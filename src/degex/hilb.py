@@ -36,6 +36,7 @@ REFERENCE_CP2_10_VERTEX = (10, 45, 110, 120, 48)
 CUBE_CLAIMED_TOTALS = (21, 120, 420, 480, 192)
 CP2_EULER = 3
 CP2_BETTI = (1, 0, 1, 0, 1)
+SPHERE_BETTI = (1, 0, 1)
 
 INDEX_CONVENTION_NOTE = (
     "k-simplices carry base codimension k+1; the alternative convention "
@@ -487,4 +488,7 @@ def homology_report(model: SurfaceModel, m: int = 2) -> dict:
     K, info = build_pi(model, m)
     report = {"model": model.name, "m": m, "f_vector": info["f_vector"]}
     report.update(homology_summary(K))
+    # the rational homology of CP^2 for m=2, of the model's sphere for m=1
+    report["target_betti"] = list(CP2_BETTI if m == 2 else SPHERE_BETTI)
+    report["matches_target"] = report["betti"] == report["target_betti"]
     return report

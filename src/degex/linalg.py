@@ -1,9 +1,15 @@
 """Exact integer linear algebra: rank over the rationals and Smith normal form.
 
-Small substrate shared by the homology computations.  Matrices are dense
-integer matrices; all operations are exact.
+Small substrate shared by the homology computations.  Matrices arrive as
+dense ``IntMatrix`` values; both public functions first run a sparse
+elimination on unit (+-1) pivots, which is unimodular and so keeps rank and
+invariant factors exact, and hand only the residue the units could not
+reach to the dense fraction-free loops.  All operations are exact.
 """
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
 
 class IntMatrix:
@@ -52,12 +58,96 @@ class IntMatrix:
 def rank_over_rationals(M: IntMatrix) -> int:
     """Rank of M as a matrix over the rationals.
 
-    Fraction-free Bareiss elimination with pivoting on the smallest nonzero
-    entry; every intermediate entry is a minor of M, so the computation is
-    exact over the integers.
+    Unit pivots first, then Bareiss on the residue: rank = units + rank of
+    the residue.
     """
-    a = [row[:] for row in M.entries]
-    n, m = M.rows, M.cols
+    units, residue = unit_eliminate(M)
+    return units + (_bareiss_rank(residue) if residue else 0)
+
+
+def smith_normal_form(M: IntMatrix) -> list[int]:
+    """Nonzero invariant factors d1 | d2 | ... of M over the integers.
+
+    Unit pivots first, then the dense loop on the residue: the factors are
+    one 1 per unit pivot followed by those of the residue.  Returns [] for
+    the zero matrix.
+    """
+    units, residue = unit_eliminate(M)
+    return [1] * units + (_dense_snf(residue) if residue else [])
+
+
+def unit_eliminate(M: IntMatrix) -> tuple[int, list[list[int]]]:
+    """Eliminate M on +-1 pivots; return the pivot count and the residue.
+
+    The rows are held as ``{col: value}`` dicts with a column -> rows index.
+    Each step pivots on the +-1 entry of smallest Markowitz cost
+    (r-1)(c-1), where r is its row's and c its column's nonzero count, and
+    clears that column from the other rows.  A unit pivot is unimodular, so
+    M is equivalent to diag(1, ..., 1, R) over the integers, where R, the
+    residue, is what is left once no +-1 entry remains.  R is returned as
+    dense rows over its nonzero rows and columns; [] when nothing is left.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for i, entries in enumerate(M.entries):
+        row = dict(compress(enumerate(entries), entries))
+        if row:
+            rows[i] = row
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
+
+    # candidate pivots by (cost, row, col); an entry whose cost has changed
+    # since it was pushed is pushed again, and the stale copy is skipped
+    heap = [(cost(i, j), i, j) for i, row in rows.items() for j, v in row.items() if v in (1, -1)]
+    heapify(heap)
+    units = 0
+    while heap:
+        c, i, j = heappop(heap)
+        if i not in rows or rows[i].get(j) not in (1, -1) or c != cost(i, j):
+            continue
+        prow = rows.pop(i)
+        v = prow[j]
+        for l in prow:
+            col_rows[l].discard(i)
+        touched = col_rows.pop(j)
+        for k in touched:
+            row = rows[k]
+            f = row[j] * v
+            for l, w in prow.items():
+                x = row.get(l, 0) - f * w
+                if x:
+                    if l not in row:
+                        col_rows[l].add(k)
+                    row[l] = x
+                elif l in row:
+                    del row[l]
+                    if l != j:
+                        col_rows[l].discard(k)
+            if not row:
+                del rows[k]
+        units += 1
+        for k in touched:
+            for l, w in rows.get(k, {}).items():
+                if w in (1, -1):
+                    heappush(heap, (cost(k, l), k, l))
+        for l in prow:
+            for k in col_rows.get(l, ()):
+                if k not in touched and rows[k][l] in (1, -1):
+                    heappush(heap, (cost(k, l), k, l))
+    cols = sorted({j for row in rows.values() for j in row})
+    return units, [[row.get(j, 0) for j in cols] for row in rows.values()]
+
+
+def _bareiss_rank(a: list[list[int]]) -> int:
+    """Rank of the dense matrix a by fraction-free Bareiss elimination.
+
+    Pivots on the smallest nonzero entry; every intermediate entry is a
+    minor of a, so the computation is exact over the integers.  Mutates a.
+    """
+    n, m = len(a), len(a[0])
     rank = 0
     prev = 1
     k = 0
@@ -92,73 +182,55 @@ def rank_over_rationals(M: IntMatrix) -> int:
     return rank
 
 
-def smith_normal_form(M: IntMatrix) -> list[int]:
-    """Nonzero invariant factors d1 | d2 | ... of M over the integers.
+def _dense_snf(a: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors of the dense matrix a; mutates a.
 
-    Pivots on the smallest nonzero entry, which keeps intermediate growth
-    modest on the small matrices arising here.  Returns [] for the zero
-    matrix.
+    Each round moves the smallest nonzero entry of the remaining block to
+    the corner and reduces its row and column by it; a nonzero remainder
+    is smaller than the pivot, so the next round picks a smaller one.
+    Picking from the whole block matters: taking the remainders themselves
+    as pivots grew the entries of a 5x5 matrix past a million bits.
     """
-    a = [row[:] for row in M.entries]
-    n, m = M.rows, M.cols
+    n, m = len(a), len(a[0])
     factors: list[int] = []
-    t = 0
-    while True:
-        pivot = None
-        for i in range(t, n):
-            for j in range(t, m):
-                v = a[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(pivot[2])):
-                    pivot = (i, j, v)
-        if pivot is None:
-            break
-        pi, pj, _ = pivot
-        if pi != t:
+    for t in range(min(n, m)):
+        while True:
+            pivot = None
+            for i in range(t, n):
+                for j in range(t, m):
+                    v = a[i][j]
+                    if v != 0 and (pivot is None or abs(v) < abs(pivot[2])):
+                        pivot = (i, j, v)
+            if pivot is None:
+                return factors
+            pi, pj, p = pivot
             a[t], a[pi] = a[pi], a[t]
-        if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-
-        while True:
-            # clear column t by row operations, re-pivoting on remainders
-            changed = True
-            while changed:
-                changed = False
-                for i in range(t + 1, n):
-                    if a[i][t] == 0:
-                        continue
-                    q = a[i][t] // a[t][t]
+            cleared = True
+            for i in range(t + 1, n):
+                q = a[i][t] // p
+                if q:
+                    row_i, row_t = a[i], a[t]
                     for j in range(t, m):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        changed = True
-                # clear row t by column operations
-                for j in range(t + 1, m):
-                    if a[t][j] == 0:
-                        continue
-                    q = a[t][j] // a[t][t]
+                        row_i[j] -= q * row_t[j]
+                cleared = cleared and a[i][t] == 0
+            for j in range(t + 1, m):
+                q = a[t][j] // p
+                if q:
                     for i in range(t, n):
                         a[i][j] -= q * a[i][t]
-                    if a[t][j] != 0:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        changed = True
-            # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+                cleared = cleared and a[t][j] == 0
+            if not cleared:
+                continue
+            # the pivot must divide the rest of the block; adding an
+            # offending row to row t makes the next round reduce it
+            offender = next(
+                (i for i in range(t + 1, n) for j in range(t + 1, m) if a[i][j] % p), None
+            )
             if offender is None:
                 break
             for j in range(t, m):
                 a[t][j] += a[offender][j]
         factors.append(abs(a[t][t]))
-        t += 1
-        if t >= n or t >= m:
-            break
     return factors

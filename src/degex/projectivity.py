@@ -106,31 +106,39 @@ class FaceCertificate:
         }
 
 
-def _field(obj, key: str, what: str):
+_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _field(obj, key: str, what: str, kind: type | None = None):
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{what} needs a {key!r} field")
+    if kind is not None and not isinstance(obj[key], kind):
+        raise ValueError(f"{what} field {key!r} must be {_KINDS[kind]}")
     return obj[key]
 
 
 def certificate_from_json_obj(obj: dict) -> FaceCertificate:
-    corners = _field(obj, "corners", "face certificate")
-    return FaceCertificate(
-        name=_field(obj, "name", "face certificate"),
-        corners={k: (parse_fraction(a), parse_fraction(b)) for k, (a, b) in corners.items()},
-        roles=tuple(_field(obj, "roles", "face certificate")),
-        pieces=tuple(
-            AffinePiece(
-                *(parse_fraction(_field(p, k, "affine piece")) for k in ("a_c", "a_q", "a_tau", "b"))
-            )
-            for p in _field(obj, "pieces", "face certificate")
-        ),
+    name = _field(obj, "name", "face certificate", str)
+    corners = _field(obj, "corners", "face certificate", dict)
+    if not all(isinstance(c, list) and len(c) == 2 for c in corners.values()):
+        raise ValueError("face certificate field 'corners' must map each vertex to a [c, q] pair")
+    corners = {k: (parse_fraction(a), parse_fraction(b)) for k, (a, b) in corners.items()}
+    pieces = tuple(
+        AffinePiece(
+            *(parse_fraction(_field(p, k, "affine piece")) for k in ("a_c", "a_q", "a_tau", "b"))
+        )
+        for p in _field(obj, "pieces", "face certificate", list)
     )
+    roles = _field(obj, "roles", "face certificate", list)
+    if len(roles) != 3 or not all(isinstance(r, str) and r in corners for r in roles):
+        raise ValueError("face certificate field 'roles' must name three of its corners")
+    return FaceCertificate(name, corners, tuple(roles), pieces)
 
 
 def certificates_from_json(text: str) -> list[FaceCertificate]:
     return [
         certificate_from_json_obj(o)
-        for o in _field(json.loads(text), "faces", "certificate file")
+        for o in _field(json.loads(text), "faces", "certificate file", list)
     ]
 
 

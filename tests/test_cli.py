@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from degex import complexes
 from degex.cli import run
 from degex.expansion import default_quartic_assignment
+from degex.projectivity import builtin_certificates, certificates_to_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -126,9 +128,20 @@ def test_hilb_count_m1(capsys):
 
 def test_hilb_homology_quartic(capsys):
     code, report = invoke(["hilb", "homology", "quartic"], capsys)
-    assert code == 0
+    assert code == 0 and report["status"] == "pass"
     assert report["results"]["betti"] == [1, 0, 1, 0, 1]
+    assert report["results"]["target_betti"] == [1, 0, 1, 0, 1]
+    assert report["results"]["matches_target"] is True
     assert report["results"]["h1_torsion"] == []
+    code, report = invoke(["hilb", "homology", "quartic", "--m", "1"], capsys)
+    assert code == 0 and report["results"]["target_betti"] == [1, 0, 1]
+
+
+def test_hilb_homology_flags_a_betti_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(complexes, "betti_numbers", lambda K: (1, 0, 0, 0, 1))
+    code, report = invoke(["hilb", "homology", "quartic"], capsys)
+    assert code == 3 and report["status"] == "flagged"
+    assert report["results"]["matches_target"] is False
 
 
 def test_export_json_and_dot(tmp_path, capsys):
@@ -181,6 +194,13 @@ def test_module_invocation_subprocess():
     assert report["results"]["f_vector"] == [6, 12, 8]
 
 
+def builtin_file(**changes):
+    """The built-in certificate file with fields of its first face replaced."""
+    obj = json.loads(certificates_to_json(builtin_certificates()))
+    obj["faces"][0].update(changes)
+    return obj
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -201,6 +221,19 @@ def test_module_invocation_subprocess():
             {"faces": [{"name": "f", "corners": {"Y1": [None, "0"]}, "roles": [], "pieces": []}]},
         ],
         ["certify-projectivity", "--certificates", [{"name": "f"}]],
+        [
+            "certify-projectivity",
+            "--certificates",
+            {"faces": [{"name": "f", "corners": [], "roles": [], "pieces": []}]},
+        ],
+        [
+            "certify-projectivity",
+            "--certificates",
+            {"faces": [{"name": "f", "corners": {"Y1": ["0", "0"]}, "roles": ["Y1", "Y9", "Y1"],
+                        "pieces": []}]},
+        ],
+        ["certify-projectivity", "--all-edges", "--certificates", builtin_file(name=["Y1", "Y2"])],
+        ["certify-projectivity", "--certificates", builtin_file(corners={"Y1": 5})],
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -224,6 +257,7 @@ def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
         {"triangles": default_quartic_assignment().to_json_obj()
          + [{"opposite": "Y4", "first": "Y1", "second": "Y2"}]},
         {"triangles": [{"opposite": "Y4", "first": "Y1"}]},
+        {"triangles": [{"vertices": 5, "first": "Y1", "second": "Y2"}]},
     ],
 )
 def test_malformed_assignment_file_is_one_line_usage_error(payload, tmp_path, capsys):

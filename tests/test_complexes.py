@@ -19,7 +19,7 @@ from degex.complexes import (
     to_json,
     validate,
 )
-from degex.linalg import rank_over_rationals
+from degex.linalg import rank_over_rationals, unit_eliminate
 
 
 def tetrahedron():
@@ -82,7 +82,7 @@ def test_euler_equals_alternating_betti():
     assert euler_characteristic(K) == euler_of_counts(betti_numbers(K))
 
 
-def test_projective_plane_torsion():
+def projective_plane():
     # standard two-triangle delta-complex of the real projective plane
     cells = [
         Cell("v:0", 0, "v0"),
@@ -93,10 +93,20 @@ def test_projective_plane_torsion():
         Cell("t:U", 2, "U", (("e:a", 1), ("e:b", -1), ("e:c", 1))),
         Cell("t:L", 2, "L", (("e:a", 1), ("e:b", -1), ("e:c", -1))),
     ]
-    K = DeltaComplex(cells)
+    return DeltaComplex(cells)
+
+
+def test_projective_plane_torsion():
+    K = projective_plane()
     assert validate(K) == []
     assert betti_numbers(K) == (1, 0, 0)
     assert h1_torsion(K) == [2]
+
+
+def test_projective_plane_torsion_comes_from_the_residue():
+    # a unit pivot alone cannot produce the factor 2
+    units, residue = unit_eliminate(boundary_matrix(projective_plane(), 2))
+    assert units == 1 and residue != []
 
 
 def test_rank_nullity_consistency():

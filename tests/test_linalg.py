@@ -1,7 +1,16 @@
 import random
 from fractions import Fraction
 
-from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form
+import pytest
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
+
+from degex.complexes import boundary_matrix
+from degex.expansion import get_assignment, subdivide
+from degex.hilb import build_pi
+from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form, unit_eliminate
+from degex.models import cube_model, quartic_model
 
 from oracles import gcd_of_minors, rank_oracle_gauss
 
@@ -82,3 +91,49 @@ def test_rational_roundtrip_exact():
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         b = Fraction(rng.randint(1, 50), rng.randint(1, 50))
         assert (a / b) * b == a
+
+
+def test_snf_of_a_matrix_without_unit_entries():
+    # no +-1 entry, so the dense loop gets the whole matrix; choosing the
+    # pivot from the remainders alone grew these entries past a million bits
+    M = IntMatrix.from_rows(
+        [
+            [-91, 36, 253, -148, 20],
+            [-29, 19, 46, -38, -8],
+            [-86, 43, 220, -125, 18],
+            [-15, -6, 50, -35, 12],
+            [55, -30, -137, 78, -16],
+        ]
+    )
+    assert unit_eliminate(M)[0] == 0
+    d = smith_normal_form(M)
+    assert d == [1, 1, 1, 2, 707560]
+    prod = 1
+    for k, dk in enumerate(d, start=1):
+        prod *= dk
+        assert prod == gcd_of_minors(M, k)
+
+
+def boundary_matrices(K):
+    return [boundary_matrix(K, d) for d in range(1, K.dimension + 1)]
+
+
+@pytest.fixture(scope="module")
+def cube_pi():
+    return build_pi(cube_model(), m=2)[0]
+
+
+def test_cube_hilb2_boundaries_match_sympy(cube_pi):
+    for M in boundary_matrices(cube_pi):
+        dM = DomainMatrix([[ZZ(v) for v in row] for row in M.entries], (M.rows, M.cols), ZZ)
+        assert rank_over_rationals(M) == dM.rank()
+        assert smith_normal_form(M) == [abs(int(d)) for d in invariant_factors(dM) if d]
+
+
+def test_unit_pivots_leave_no_residue_on_built_complexes(cube_pi):
+    cube = cube_model()
+    sphere = subdivide(cube, get_assignment(cube, "labeling"), 3).cells
+    for K in (build_pi(quartic_model(), m=2)[0], cube_pi, sphere):
+        for M in boundary_matrices(K):
+            units, residue = unit_eliminate(M)
+            assert residue == [] and units > 0

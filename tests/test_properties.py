@@ -2,7 +2,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from degex.complexes import (
@@ -17,8 +17,10 @@ from degex.complexes import (
 )
 from degex.expansion import check_gluing, default_quartic_assignment, subdivide
 from degex.hilb import build_pi, make_config
-from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form
+from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form, unit_eliminate
 from degex.models import cube_model, find_3_labeling, labeling_is_valid, quartic_model
+
+from oracles import gcd_of_minors, rank_oracle_gauss
 
 FIXED = settings(
     max_examples=40,
@@ -50,6 +52,44 @@ def test_rank_equals_nonzero_invariant_factors(rows):
 def test_invariant_factors_divide(rows):
     d = smith_normal_form(IntMatrix.from_rows(rows))
     assert all(b % a == 0 for a, b in zip(d, d[1:]))
+
+
+# mostly 0 and +-1, like a boundary matrix, with some larger entries so that
+# unit elimination sometimes leaves a residue for the dense loops
+unit_heavy_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.integers(1, 5).flatmap(
+        lambda m: st.lists(
+            st.lists(
+                st.sampled_from((0,) * 6 + (1, -1) * 3 + (2, -2, 3, -3, 4, -4)),
+                min_size=m,
+                max_size=m,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+
+
+@FIXED
+@given(unit_heavy_matrices)
+def test_rank_and_invariant_factors_match_the_oracles(rows):
+    M = IntMatrix.from_rows(rows)
+    d = smith_normal_form(M)
+    assert rank_over_rationals(M) == rank_oracle_gauss(M) == len(d)
+    prod = 1
+    for k, dk in enumerate(d, start=1):
+        prod *= dk
+        assert prod == gcd_of_minors(M, k)
+
+
+def test_unit_heavy_matrices_reach_both_paths():
+    for residue_left in (False, True):
+        find(
+            unit_heavy_matrices,
+            lambda rows: bool(unit_eliminate(IntMatrix.from_rows(rows))[1]) == residue_left,
+            settings=FIXED,
+        )
 
 
 @FIXED
