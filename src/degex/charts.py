@@ -55,10 +55,6 @@ class TorusElement:
             raise ValueError("size mismatch")
         return TorusElement(tuple(a * b for a, b in zip(self.taus, other.taus)))
 
-    @classmethod
-    def identity(cls, n: int) -> "TorusElement":
-        return cls(tuple(Fraction(1) for _ in range(n)))
-
 
 def _nonzero_rational(rng: random.Random) -> Fraction:
     for _ in range(RETRY_BOUND):

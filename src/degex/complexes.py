@@ -232,20 +232,6 @@ def export(K: DeltaComplex, format: str) -> bytes:
     raise ValueError(f"unknown export format: {format}")
 
 
-def face_relation_signature(K: DeltaComplex):
-    """Face relations in canonical cell order, for isomorphism-of-export tests."""
-    sig = []
-    for c in K.cells():
-        sig.append(
-            (
-                c.dim,
-                c.label,
-                tuple((K[fid].dim, K[fid].label, sign) for fid, sign in c.faces),
-            )
-        )
-    return sig
-
-
 def simplex_complex(triangles, vertex_labels=None) -> DeltaComplex:
     """Build the delta-complex of a set of triangles given as vertex triples.
 

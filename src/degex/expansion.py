@@ -15,12 +15,19 @@ triangles glue along a shared edge exactly when they induce the same node
 positions and the same symbol sequence there, i.e. the same distinguished
 endpoint.
 
-Realization is barycentric: each triangle is the standard 2-simplex with
-rational coordinates (a_F, a_S); parallelism is meant in these terms, so
-only positions and symbol bookkeeping matter.  Quadrilateral subdivision
-regions are recorded as polygonal regions; the delta-complex view star
-triangulates every region from an auxiliary center vertex, which preserves
-the closed-surface invariants.
+Realization is combinatorial, on the level grid of each triangle.  Grid
+point (a, b), 0 <= a <= b <= n+1, is where the level-a chord parallel to S-T
+meets the level-b chord parallel to F-T (levels 0 and n+1 being the sides
+themselves).  It lies on the F-S edge when a = b, on the S-T edge when
+a = 0, on the F-T edge when b = n+1, and is otherwise the corner box (a, b).
+Level k of an edge is its k-th point from the distinguished endpoint; a
+node that only the neighbouring triangle places on a shared edge is a
+foreign point and sits between two consecutive levels.  Grid region
+(i, j), 0 <= i <= j <= n, is a triangle along F-S when i = j and a
+quadrilateral otherwise, with the foreign points inserted along its sides on
+the base edges.  Regions are recorded as polygonal vertex cycles; the
+delta-complex view star triangulates every region from an auxiliary center
+vertex, which preserves the closed-surface invariants.
 """
 from __future__ import annotations
 
@@ -216,7 +223,6 @@ class ExpandedComplex:
     boxes: list[CornerBox]
     edge_census: dict  # edge -> {triangle key -> ((position from u, level), ...)}
     colored_segments: dict  # edge -> {triangle key -> (segment records, ...)}
-    node_arrows: dict  # node cell id -> {triangle key -> {level: toward vertex id}}
     distinguished: dict  # edge -> {triangle key -> distinguished endpoint}
 
     def exceptional_vertex_count(self) -> int:
@@ -267,17 +273,16 @@ def subdivide(
     if n == 0:
         regions = [Region(t, (0, 0), tuple(_vid(v) for v in t)) for t in model.triangles]
         return ExpandedComplex(
-            model, assignment, 0, P, model.sphere, regions, [], [], {}, {}, {}, {}
+            model, assignment, 0, P, model.sphere, regions, [], [], {}, {}, {}
         )
-
-    full = (Fraction(0),) + P + (Fraction(1),)  # P_0 .. P_{n+1}
-    Q = tuple(1 - p for p in full)  # Q_k = 1 - P_k
 
     # ---- per-edge censuses induced by each adjacent triangle --------------
     edge_census: dict = {}
     distinguished: dict = {}
     for tri in model.triangles:
         for e, dist in edge_roles(assignment, tri).values():
+            # the level-k node, P_k from the distinguished endpoint, at its
+            # position from the edge's first endpoint u
             u, _w = e
             census = tuple(
                 ((P[k - 1] if dist == u else 1 - P[k - 1]), k) for k in range(1, n + 1)
@@ -302,13 +307,16 @@ def subdivide(
             for pos, level in census:
                 rec = node_records.setdefault((e, pos), {})
                 rec[tri] = level
+    # every point of each base edge, sorted by position from its first endpoint
+    edge_points: dict[Pair, list[tuple[Fraction, str]]] = {
+        e: [(Fraction(0), _vid(e[0]))] for e in model.edges
+    }
     edge_nodes = []
-    node_id_by_pos: dict[tuple[Pair, Fraction], str] = {}
     for (e, pos), levels in sorted(node_records.items()):
         nid = f"x:{e[0]}|{e[1]}@{pos}"
-        node_id_by_pos[(e, pos)] = nid
         add_cell(Cell(nid, 0, f"{e[0]}-{e[1]} node at {pos}"))
         edge_nodes.append(EdgeNode(e, pos, nid, dict(sorted(levels.items()))))
+        edge_points[e].append((pos, nid))
 
     boxes = []
     box_id: dict[tuple[tuple, int, int], str] = {}
@@ -332,117 +340,33 @@ def subdivide(
         return eid
 
     # atomic segments along each base edge, in the u -> w direction
-    edge_points: dict[Pair, list[tuple[Fraction, str]]] = {}
-    for e in model.edges:
-        pts = [(Fraction(0), _vid(e[0]))]
-        pts += sorted(
-            (pos, node_id_by_pos[(e2, pos)])
-            for (e2, pos) in node_id_by_pos
-            if e2 == e
-        )
+    for e, pts in edge_points.items():
         pts.append((Fraction(1), _vid(e[1])))
-        edge_points[e] = pts
         for (_, a), (_, b) in zip(pts, pts[1:]):
             pair_cell(a, b)
 
-    def edge_run(e: Pair, lo: Fraction, hi: Fraction) -> list[str]:
-        """Vertex ids along edge e strictly between positions lo and hi."""
-        return [vid for pos, vid in edge_points[e] if lo < pos < hi]
-
-    # ---- per-triangle geometry ---------------------------------------------
+    # ---- per-triangle geometry on the level grid ---------------------------
     regions: list[Region] = []
     colored_segments: dict = {}
-    node_arrows: dict = {}
 
     for tri in model.triangles:
-        F, S, T = assignment.roles(tri)
         roles = edge_roles(assignment, tri)
-        coords = {_vid(F): (Fraction(1), Fraction(0)),
-                  _vid(S): (Fraction(0), Fraction(1)),
-                  _vid(T): (Fraction(0), Fraction(0))}
-        by_coord: dict[tuple[Fraction, Fraction], str] = {v: k for k, v in coords.items()}
-
-        def register(cid, a, b):
-            coords[cid] = (a, b)
-            by_coord[(a, b)] = cid
-
-        # place every edge point of the three boundary edges in local coords
-        for e, _ in roles.values():
-            cu = coords[_vid(e[0])]
-            cw = coords[_vid(e[1])]
-            for pos, vid_ in edge_points[e]:
-                a = cu[0] * (1 - pos) + cw[0] * pos
-                b = cu[1] * (1 - pos) + cw[1] * pos
-                register(vid_, a, b)
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                register(box_id[(tri, j, k)], full[j], Q[k])
-
-        # chords: vertical a_F = P_j between the F-S and F-T edges, split at
-        # crossings with horizontal chords; likewise horizontal a_S = Q_k
-        for j in range(1, n + 1):
-            run = [(full[j], Q[j])] + [(full[j], Q[k]) for k in range(j + 1, n + 1)]
-            run += [(full[j], Fraction(0))]
-            for p, q in zip(run, run[1:]):
-                pair_cell(by_coord[p], by_coord[q])
-        for k in range(1, n + 1):
-            run = [(full[k], Q[k])] + [(full[j], Q[k]) for j in range(k - 1, 0, -1)]
-            run += [(Fraction(0), Q[k])]
-            for p, q in zip(run, run[1:]):
-                pair_cell(by_coord[p], by_coord[q])
-
-        # grid regions (i, j) with 0 <= i <= j <= n
-        for i in range(0, n + 1):
-            for j in range(i, n + 1):
-                corners = [(full[i], Q[j + 1]), (full[i + 1], Q[j + 1])]
-                if i < j:
-                    corners.append((full[i + 1], Q[j]))
-                corners.append((full[i], Q[j]))
-                cycle: list[str] = []
-                m = len(corners)
-                for idx in range(m):
-                    p = corners[idx]
-                    q = corners[(idx + 1) % m]
-                    cycle.append(by_coord[p])
-                    # expand runs along base edges to include foreign points
-                    side_edge = None
-                    if p[0] == 0 and q[0] == 0:
-                        side_edge = edge_key(S, T)
-                    elif p[1] == 0 and q[1] == 0:
-                        side_edge = edge_key(F, T)
-                    elif p[0] + p[1] == 1 and q[0] + q[1] == 1:
-                        side_edge = edge_key(F, S)
-                    if side_edge is not None:
-                        cu = coords[_vid(side_edge[0])]
-                        cw = coords[_vid(side_edge[1])]
-
-                        def pos_on_edge(pt):
-                            if cw[0] != cu[0]:
-                                return (pt[0] - cu[0]) / (cw[0] - cu[0])
-                            return (pt[1] - cu[1]) / (cw[1] - cu[1])
-
-                        pp, pq = pos_on_edge(p), pos_on_edge(q)
-                        lo, hi = min(pp, pq), max(pp, pq)
-                        between = edge_run(side_edge, lo, hi)
-                        if pq < pp:
-                            between = list(reversed(between))
-                        cycle.extend(between)
-                regions.append(Region(tri, (i, j), tuple(cycle)))
-
-        # colored segments and arrows, from this triangle's point of view
-        for e, dist in roles.values():
-            u, w = e
-            # symbol of the atomic segment [a, b] (positions from u): the
-            # number of this side's nodes strictly before it, counted from
-            # the distinguished endpoint, plus one
-            own_positions = sorted(pos for pos, _ in edge_census[e][tri])
-            segs = []
+        # level_index[r][k]: index in edge_points of the level-k point of role edge
+        # r, counted from its distinguished endpoint (level 0) to the far end
+        level_index = {}
+        for r, (e, dist) in roles.items():
             pts = edge_points[e]
-            for (pa, a), (pb, b) in zip(pts, pts[1:]):
-                if dist == u:
-                    k = sum(1 for p in own_positions if p <= pa) + 1
-                else:
-                    k = sum(1 for p in own_positions if p >= pb) + 1
+            own_positions = {pos for pos, _ in edge_census[e][tri]}
+            own = [0] + [i for i, (pos, _) in enumerate(pts) if pos in own_positions]
+            own.append(len(pts) - 1)
+            forward = dist == e[0]  # the levels run in the u -> w direction
+            level_index[r] = own if forward else own[::-1]
+            # symbol of the atomic segment from pts[s] to pts[s + 1]: the
+            # number of this side's levels before it, counted from the
+            # distinguished endpoint (level 0)
+            segs = []
+            for s, ((pa, a), (pb, b)) in enumerate(zip(pts, pts[1:])):
+                k = sum(1 for i in own if (i <= s if forward else i > s))
                 segs.append(
                     {
                         "segment": pair_cell(a, b),
@@ -452,9 +376,58 @@ def subdivide(
                     }
                 )
             colored_segments.setdefault(e, {})[tri] = tuple(segs)
-            for pos, level in edge_census[e][tri]:
-                nid = node_id_by_pos[(e, pos)]
-                node_arrows.setdefault(nid, {}).setdefault(tri, {})[level] = _vid(dist)
+
+        def side_point(r: str, k: int) -> str:
+            return edge_points[roles[r][0]][level_index[r][k]][1]
+
+        def point(a: int, b: int) -> str:
+            """Vertex id of grid point (a, b)."""
+            if a == b:
+                return side_point("FS", a)
+            if a == 0:
+                return side_point("ST", b)
+            if b == n + 1:
+                return side_point("FT", a)
+            return box_id[(tri, a, b)]
+
+        def foreign(p, q) -> list[str]:
+            """Vertex ids strictly between grid points p and q when both lie
+            on one base edge: the nodes only the neighbouring triangle puts
+            there, in the p -> q direction."""
+            if p[0] == q[0] == 0:
+                r, lp, lq = "ST", p[1], q[1]
+            elif p[1] == q[1] == n + 1:
+                r, lp, lq = "FT", p[0], q[0]
+            elif p[0] == p[1] and q[0] == q[1]:
+                r, lp, lq = "FS", p[0], q[0]
+            else:
+                return []
+            ip, iq = level_index[r][lp], level_index[r][lq]
+            run = edge_points[roles[r][0]][min(ip, iq) + 1 : max(ip, iq)]
+            return [vid for _, vid in (run if ip < iq else reversed(run))]
+
+        # chord j parallel to S-T runs from (j, j) on F-S through the boxes
+        # (j, k) to (j, n+1) on F-T; chord k parallel to F-T runs from (k, k)
+        # through the boxes (j, k) to (0, k) on S-T
+        for j in range(1, n + 1):
+            for b in range(j, n + 1):
+                pair_cell(point(j, b), point(j, b + 1))
+        for k in range(1, n + 1):
+            for a in range(k, 0, -1):
+                pair_cell(point(a, k), point(a - 1, k))
+
+        # grid regions (i, j) with 0 <= i <= j <= n
+        for i in range(0, n + 1):
+            for j in range(i, n + 1):
+                corners = [(i, j + 1), (i + 1, j + 1)]
+                if i < j:
+                    corners.append((i + 1, j))
+                corners.append((i, j))
+                cycle: list[str] = []
+                for p, q in zip(corners, corners[1:] + corners[:1]):
+                    cycle.append(point(*p))
+                    cycle.extend(foreign(p, q))
+                regions.append(Region(tri, (i, j), tuple(cycle)))
 
     # ---- star triangulation of every region --------------------------------
     two_cells: list[Cell] = []
@@ -494,7 +467,6 @@ def subdivide(
         boxes,
         edge_census,
         colored_segments,
-        node_arrows,
         distinguished,
     )
 
@@ -545,32 +517,27 @@ def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
     """Report every subdivision node whose sides disagree on its arrows.
 
     Each adjacent triangle gives a node one arrow per level, pointing along
-    the carrier edge toward that side's distinguished endpoint.  Positions
+    the carrier edge toward that side's distinguished endpoint; both come
+    from the node census (`EdgeNode.levels`, `distinguished`).  Positions
     are strictly increasing, so each side gives a node exactly one level.
     The owning triangle always agrees with its own arrow at a chord
     endpoint, so a chord can only disagree where another side's arrow
     differs, which is a node mismatch: chords need no check of their own.
     """
     conflicts = []
-    for nid in sorted(E.node_arrows):
-        sides = E.node_arrows[nid]
-        tris = sorted(sides)
-        if len(tris) < 2:
-            continue
-        first = sides[tris[0]]
-        for t in tris[1:]:
-            if sides[t] != first:
-                conflicts.append(
-                    {
-                        "cell": nid,
-                        "kind": "node arrow mismatch",
-                        "sides": [
-                            {"triangle": list(t2), "arrows": {str(k): v for k, v in sides[t2].items()}}
-                            for t2 in tris
-                        ],
-                    }
-                )
-                break
+    for node in sorted(E.edge_nodes, key=lambda node: node.cell_id):
+        arrows = {
+            t: {str(level): _vid(E.distinguished[node.edge][t])}
+            for t, level in node.levels.items()
+        }
+        if len({tuple(a.items()) for a in arrows.values()}) > 1:
+            conflicts.append(
+                {
+                    "cell": node.cell_id,
+                    "kind": "node arrow mismatch",
+                    "sides": [{"triangle": list(t), "arrows": a} for t, a in arrows.items()],
+                }
+            )
     return TorusReport(compatible=not conflicts, conflicts=conflicts)
 
 

@@ -1,8 +1,9 @@
-"""Independent reference computations that the linear-algebra tests compare against."""
+"""Independent reference computations that the tests compare against."""
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from degex.complexes import DeltaComplex
 from degex.linalg import IntMatrix
 
 
@@ -45,3 +46,17 @@ def gcd_of_minors(M: IntMatrix, k: int) -> int:
         for cols in combinations(range(M.cols), k):
             g = gcd(g, det(list(rows), list(cols)))
     return g
+
+
+def face_relation_signature(K: DeltaComplex):
+    """Face relations in canonical cell order, for isomorphism-of-export tests."""
+    sig = []
+    for c in K.cells():
+        sig.append(
+            (
+                c.dim,
+                c.label,
+                tuple((K[fid].dim, K[fid].label, sign) for fid, sign in c.faces),
+            )
+        )
+    return sig

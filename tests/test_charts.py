@@ -59,7 +59,7 @@ def test_sampling_deterministic_per_seed():
 
 def test_identity_acts_trivially():
     p = sample_chart_point(2, seed=9)
-    assert act(TorusElement.identity(2), p) == p
+    assert act(TorusElement((Fraction(1), Fraction(1))), p) == p
 
 
 def test_act_example_on_base_parameters():

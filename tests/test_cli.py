@@ -234,6 +234,12 @@ def builtin_file(**changes):
         ],
         ["certify-projectivity", "--all-edges", "--certificates", builtin_file(name=["Y1", "Y2"])],
         ["certify-projectivity", "--certificates", builtin_file(corners={"Y1": 5})],
+        [
+            "certify-projectivity",
+            "--certificates",
+            builtin_file(corners={"Y3": ["0", "0"], "Y2": ["1", "0"], "Y1": ["2", "0"]}),
+        ],
+        ["expand", "cube", "--n", "65", "--assignment", "labeling"],
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):

@@ -11,7 +11,6 @@ from degex.complexes import (
     euler_of_counts,
     export,
     f_vector,
-    face_relation_signature,
     from_json,
     h1_torsion,
     simplex_complex,
@@ -20,6 +19,8 @@ from degex.complexes import (
     validate,
 )
 from degex.linalg import rank_over_rationals, unit_eliminate
+
+from oracles import face_relation_signature
 
 
 def tetrahedron():

@@ -183,12 +183,24 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
         for pairs in product(*(permutations(t, 2) for t in m.triangles))
     ]
     assert len(assignments) == 1296
+    with_foreign_nodes = 0
     for assignment in assignments:
         for n in (1, 2):
             E = subdivide(m, assignment, n)
-            for sides in E.node_arrows.values():
-                assert all(len(arrows) == 1 for arrows in sides.values())
+            for node in E.edge_nodes:
+                for t, level in node.levels.items():
+                    census = E.edge_census[node.edge][t]
+                    assert [lev for pos, lev in census if pos == node.position] == [level]
             assert check_torus_compatibility(E).compatible == check_gluing(E).glues
+        # at these positions a side whose distinguished endpoint differs from
+        # its neighbour's has nodes the neighbour lacks: the neighbour's
+        # regions must take them into their boundary cycles
+        E = subdivide(m, assignment, 2, positions=[Fraction(1, 5), Fraction(1, 2)])
+        with_foreign_nodes += any(len(node.levels) == 1 for node in E.edge_nodes)
+        assert validate(E.cells) == []
+        assert closed_surface(E.cells)
+        assert euler_characteristic(E.cells) == 2
+    assert with_foreign_nodes == 1272
 
 
 def flipped_corner_assignment():

@@ -6,7 +6,6 @@ from degex.complexes import (
     euler_characteristic,
     euler_of_counts,
     f_vector,
-    face_relation_signature,
     h1_torsion,
     validate,
 )
@@ -23,6 +22,8 @@ from degex.hilb import (
     structure_for,
 )
 from degex.models import cube_model, quartic_model
+
+from oracles import face_relation_signature
 
 QUARTIC_BREAKDOWNS = {
     0: (10,),

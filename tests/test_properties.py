@@ -10,7 +10,6 @@ from degex.complexes import (
     euler_characteristic,
     euler_of_counts,
     f_vector,
-    face_relation_signature,
     from_json,
     to_json,
     validate,
@@ -20,7 +19,7 @@ from degex.hilb import build_pi, make_config
 from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form, unit_eliminate
 from degex.models import cube_model, find_3_labeling, labeling_is_valid, quartic_model
 
-from oracles import gcd_of_minors, rank_oracle_gauss
+from oracles import face_relation_signature, gcd_of_minors, rank_oracle_gauss
 
 FIXED = settings(
     max_examples=40,
