@@ -42,8 +42,9 @@ _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "flagged": EXIT_FLAGGED}
 
 # `expand` time and memory grow about 4x per doubling of n (subdividing and
 # checking the cube at n = 96 takes 2.4 s and 352 MB on a 2-core x86 host),
-# so deeper subdivisions are refused up front
-MAX_EXPAND_DEPTH = 64
+# and `charts verify` takes 4.7 s at n = 64, so deeper ones are refused up
+# front
+MAX_DEPTH = 64
 
 
 def _emit(command: str, inputs: dict, results: dict, status: str) -> int:
@@ -70,18 +71,26 @@ def _parse_params(raw: str | None):
     return [parse_fraction(part) for part in raw.split(",") if part]
 
 
+def _integer(text: str) -> int:
+    # on a ValueError argparse would name this private function in its message
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive count, got {value}")
     return value
 
 
-def _expand_depth(text: str) -> int:
-    value = int(text)
-    if value > MAX_EXPAND_DEPTH:
+def _depth(text: str) -> int:
+    value = _integer(text)
+    if value > MAX_DEPTH:
         raise argparse.ArgumentTypeError(
-            f"expected a subdivision depth of at most {MAX_EXPAND_DEPTH}, got {value}"
+            f"expected a depth of at most {MAX_DEPTH}, got {value}"
         )
     return value
 
@@ -206,12 +215,12 @@ def cmd_charts_verify(args) -> int:
 
 def cmd_hilb_count(args) -> int:
     model = get_model(args.model)
-    results: dict = {"m": args.m, "enumerators": "both"}
+    results: dict = {"m": args.m}
     status = "pass"
     try:
         _, info = build_pi(model, m=args.m)
         fv = info["f_vector"]
-        results["closure_f_vector"] = results["f_vector"] = fv
+        results["f_vector"] = fv
         results["index_convention"] = info["index_convention"]
         if "breakdowns" in info:
             results["breakdowns"] = [b.to_json_obj() for b in info["breakdowns"]]
@@ -227,7 +236,7 @@ def cmd_hilb_count(args) -> int:
         status = "fail"
     return _emit(
         "hilb count",
-        {"model": args.model, "m": args.m, "by": "both"},
+        {"model": args.model, "m": args.m},
         results,
         status,
     )
@@ -289,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="subdivide a model and run the certificates")
     p.add_argument("model", choices=["quartic", "cube"])
-    p.add_argument("--n", type=_expand_depth, required=True, help="subdivision depth")
+    p.add_argument("--n", type=_depth, required=True, help="subdivision depth")
     p.add_argument(
         "--assignment",
         default="default",
@@ -307,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charts", help="chart verification commands")
     charts_sub = p.add_subparsers(dest="charts_command", required=True)
     pv = charts_sub.add_parser("verify", help="verify chart relations on samples")
-    pv.add_argument("--n", type=int, required=True)
+    pv.add_argument("--n", type=_depth, required=True, help="chart depth")
     pv.add_argument("--samples", type=_positive_int, default=1000)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--pairs", type=_positive_int, default=100, help="torus action pairs")

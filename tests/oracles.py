@@ -3,8 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from degex.complexes import DeltaComplex
-from degex.linalg import IntMatrix
+from degex.complexes import DeltaComplex, boundary_matrix, f_vector
+from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form
 
 
 def rank_oracle_gauss(M: IntMatrix) -> int:
@@ -60,3 +60,15 @@ def face_relation_signature(K: DeltaComplex):
             )
         )
     return sig
+
+
+def elimination_homology(K: DeltaComplex):
+    """Betti numbers and H1 torsion from the full boundary matrices of K."""
+    fv = f_vector(K)
+    ranks = [0] * (K.dimension + 2)
+    for d in range(1, K.dimension + 1):
+        ranks[d] = rank_over_rationals(boundary_matrix(K, d))
+    betti = tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(K.dimension + 1))
+    if K.dimension < 2:
+        return betti, []
+    return betti, [d for d in smith_normal_form(boundary_matrix(K, 2)) if d > 1]

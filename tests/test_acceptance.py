@@ -87,10 +87,10 @@ def test_criterion_03_cube_report_flagged(capsys):
     assert ref["f_vector"] == [21, 120, 420, 480, 192]
     assert ref["euler"] == 33
     assert any("33" in flag for flag in res["reference_comparison"]["flags"])
-    # the independent closure count is printed side by side
-    assert res["closure_f_vector"] == [21, 150, 420, 480, 192]
+    # the count from the stable types and the case census, side by side
+    assert res["f_vector"] == [21, 150, 420, 480, 192]
     assert res["case_f_vector"] == [21, 150, 420, 480, 192]
-    report(3, "claimed totals surfaced with chi=33 flag next to closure count, exit 3")
+    report(3, "claimed totals surfaced with chi=33 flag next to the stable-type count, exit 3")
 
 
 def test_criterion_04_m1_sanity(capsys):

@@ -240,6 +240,9 @@ def builtin_file(**changes):
             builtin_file(corners={"Y3": ["0", "0"], "Y2": ["1", "0"], "Y1": ["2", "0"]}),
         ],
         ["expand", "cube", "--n", "65", "--assignment", "labeling"],
+        ["expand", "quartic", "--n", "64x"],
+        ["charts", "verify", "--n", "2", "--samples", "x"],
+        ["charts", "verify", "--n", "65", "--samples", "1"],
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -253,6 +256,8 @@ def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    # argparse names a type function in its message; none may be private
+    assert " _" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from degex.complexes import (
     Cell,
     DeltaComplex,
+    _morse_boundaries,
     betti_numbers,
     boundary_matrix,
     euler_characteristic,
@@ -20,7 +21,7 @@ from degex.complexes import (
 )
 from degex.linalg import rank_over_rationals, unit_eliminate
 
-from oracles import face_relation_signature
+from oracles import elimination_homology, face_relation_signature
 
 
 def tetrahedron():
@@ -97,11 +98,40 @@ def projective_plane():
     return DeltaComplex(cells)
 
 
+def projective_plane_with_a_doubled_edge():
+    # a Moebius band whose boundary runs twice along the loop "core", capped
+    # by a cone on its rim; once the cone is paired with the rim, the band's
+    # only alive face is "core", at coefficient 2
+    cells = [
+        Cell("v:v", 0, "v"),
+        Cell("v:w", 0, "w"),
+        Cell("e:rim", 1, "rim", (("v:v", 1), ("v:v", -1))),
+        Cell("e:core", 1, "core", (("v:v", 1), ("v:v", -1))),
+        Cell("e:spoke", 1, "spoke", (("v:w", 1), ("v:v", -1))),
+        Cell("t:band", 2, "band", (("e:core", 1), ("e:rim", -1), ("e:core", 1))),
+        Cell("t:cone", 2, "cone", (("e:spoke", 1), ("e:spoke", -1), ("e:rim", 1))),
+    ]
+    return DeltaComplex(cells)
+
+
 def test_projective_plane_torsion():
     K = projective_plane()
     assert validate(K) == []
+    assert [M.cols for M in _morse_boundaries(K)] == [1, 1, 1]
     assert betti_numbers(K) == (1, 0, 0)
     assert h1_torsion(K) == [2]
+    assert elimination_homology(K) == ((1, 0, 0), [2])
+
+
+def test_a_coefficient_of_two_is_never_paired():
+    K = projective_plane_with_a_doubled_edge()
+    assert validate(K) == []
+    morse = _morse_boundaries(K)
+    assert [M.cols for M in morse] == [1, 1, 1]
+    assert morse[2].entries == [[2]]
+    assert betti_numbers(K) == (1, 0, 0)
+    assert h1_torsion(K) == [2]
+    assert elimination_homology(K) == ((1, 0, 0), [2])
 
 
 def test_projective_plane_torsion_comes_from_the_residue():

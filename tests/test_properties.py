@@ -1,25 +1,29 @@
 """Property suites over the module invariants, with fixed seeds."""
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from hypothesis import HealthCheck, find, given, settings
+from hypothesis import HealthCheck, Phase, find, given, settings
 from hypothesis import strategies as st
 
 from degex.complexes import (
+    _morse_boundaries,
     betti_numbers,
     euler_characteristic,
     euler_of_counts,
     f_vector,
     from_json,
+    h1_torsion,
+    simplex_complex,
     to_json,
     validate,
 )
-from degex.expansion import check_gluing, default_quartic_assignment, subdivide
+from degex.expansion import check_gluing, default_quartic_assignment, get_assignment, subdivide
 from degex.hilb import build_pi, make_config
 from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form, unit_eliminate
 from degex.models import cube_model, find_3_labeling, labeling_is_valid, quartic_model
 
-from oracles import face_relation_signature, gcd_of_minors, rank_oracle_gauss
+from oracles import elimination_homology, face_relation_signature, gcd_of_minors, rank_oracle_gauss
 
 FIXED = settings(
     max_examples=40,
@@ -162,3 +166,36 @@ def test_export_import_roundtrip_on_built_complexes():
 def test_euler_betti_identity_on_built_complexes():
     for K in (quartic_model().sphere, cube_model().sphere, build_pi(quartic_model(), m=1)[0]):
         assert euler_characteristic(K) == euler_of_counts(betti_numbers(K))
+
+
+triangle_sets = st.sets(st.sampled_from(list(combinations("abcdefg", 3))), min_size=1, max_size=12)
+# about one triangle set in a hundred coreduces to a nonzero Morse boundary
+MORSE = settings(FIXED, max_examples=300)
+
+
+@MORSE
+@given(triangle_sets)
+def test_morse_homology_matches_the_full_boundary_on_random_triangle_sets(triangles):
+    K = simplex_complex(triangles)
+    assert (betti_numbers(K), h1_torsion(K)) == elimination_homology(K)
+
+
+def test_random_triangle_sets_reach_a_nonzero_morse_boundary():
+    # so the comparison above sees critical parts that pairs have updated
+    find(
+        triangle_sets,
+        lambda triangles: any(
+            any(map(any, M.entries)) for M in _morse_boundaries(simplex_complex(triangles))
+        ),
+        settings=settings(MORSE, phases=[Phase.generate]),  # any example will do
+    )
+
+
+def test_morse_homology_matches_the_full_boundary_on_built_complexes():
+    for model, assignment in ((quartic_model(), "default"), (cube_model(), "labeling")):
+        complexes = [model.sphere] + [build_pi(model, m=m)[0] for m in (1, 2)]
+        complexes += [
+            subdivide(model, get_assignment(model, assignment), n).cells for n in (1, 2, 3, 8)
+        ]
+        for K in complexes:
+            assert (betti_numbers(K), h1_torsion(K)) == elimination_homology(K)
