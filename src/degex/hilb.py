@@ -7,6 +7,9 @@ level 1..c-1, and one corner box per triple point and level pair j < k.  A
 configuration is stable when its points sit in component interiors and
 every expansion level is occupied (finite automorphisms under the fibre
 torus); its type records only the components, with the two points unordered.
+Stable types are generated point by point rather than filtered from all
+multisets: a partial choice is dropped once its uncovered levels outnumber
+twice the points still to place, since a component covers at most two levels.
 
 k-simplices of the dual complex correspond to types of base codimension
 k+1.  The k+1 facet slots un-vanish one base coordinate each: slot i merges
@@ -29,8 +32,9 @@ from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector, validate
 from .expansion import BlowupAssignment, edge_roles, get_assignment
 from .models import SurfaceModel, get_model
 
-# f-vector of the known 10-vertex simplicial triangulation of CP^2, which
-# the quartic complex must reproduce exactly
+# f-vector of the known 10-vertex simplicial triangulation of CP^2; the
+# quartic complex has the same f-vector but is not simplicial (its 45 edges
+# span only 40 vertex pairs), so only the counts are compared
 REFERENCE_CP2_10_VERTEX = (10, 45, 110, 120, 48)
 # published totals claimed for the cube complex, compared but never forced
 CUBE_CLAIMED_TOTALS = (21, 120, 420, 480, 192)
@@ -126,10 +130,25 @@ def is_stable(points, c: int) -> bool:
 
 
 def all_stable(structure: ExpansionStructure, c: int, m: int = 2) -> list[ConfigType]:
+    """Stable m-point types of codimension c, in combinations_with_replacement
+    order over components_at_codim: each point takes a component index at or
+    after the previous point's, and is_stable is the test at the leaf."""
+    comps = components_at_codim(structure, c)
+    levels = [point_levels(p) for p in comps]
     out = []
-    for pts in combinations_with_replacement(components_at_codim(structure, c), m):
-        if is_stable(pts, c):
-            out.append(make_config(c, pts))
+
+    def extend(start: int, chosen: tuple, covered: frozenset) -> None:
+        left = m - len(chosen)
+        if c - 1 - len(covered) > 2 * left:
+            return
+        if not left:
+            if is_stable(chosen, c):
+                out.append(make_config(c, chosen))
+            return
+        for i in range(start, len(comps)):
+            extend(i, chosen + (comps[i],), covered | levels[i])
+
+    extend(0, (), frozenset())
     return out
 
 

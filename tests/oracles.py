@@ -1,9 +1,10 @@
 """Independent reference computations that the tests compare against."""
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, combinations_with_replacement
+from math import comb, gcd
 
 from degex.complexes import DeltaComplex, boundary_matrix, f_vector
+from degex.hilb import components_at_codim, is_stable, make_config
 from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form
 
 
@@ -72,3 +73,29 @@ def elimination_homology(K: DeltaComplex):
     if K.dimension < 2:
         return betti, []
     return betti, [d for d in smith_normal_form(boundary_matrix(K, 2)) if d > 1]
+
+
+def brute_force_stable(structure, c: int, m: int):
+    """Every multiset of m components of codimension c, filtered by is_stable."""
+    return [
+        make_config(c, pts)
+        for pts in combinations_with_replacement(components_at_codim(structure, c), m)
+        if is_stable(pts, c)
+    ]
+
+
+def multichoose(n: int, k: int) -> int:
+    """Number of k-element multisets from n kinds."""
+    return comb(n + k - 1, k)
+
+
+def stable_type_count(model, c: int, m: int) -> int:
+    """Stable m-point types of codimension c, by inclusion-exclusion over the
+    unoccupied levels: with r of the c-1 levels allowed there are
+    V + E*r + T*C(r, 2) components to choose m points from."""
+    V, E, T = len(model.vertices), len(model.edges), len(model.triangles)
+    total = 0
+    for s in range(c):
+        r = c - 1 - s
+        total += (-1) ** s * comb(c - 1, s) * multichoose(V + E * r + T * comb(r, 2), m)
+    return total

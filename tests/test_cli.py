@@ -243,6 +243,10 @@ def builtin_file(**changes):
         ["expand", "quartic", "--n", "64x"],
         ["charts", "verify", "--n", "2", "--samples", "x"],
         ["charts", "verify", "--n", "65", "--samples", "1"],
+        # --m is capped at 2
+        ["hilb", "count", "quartic", "--m", "3"],
+        ["hilb", "homology", "cube", "--m", "0"],
+        ["hilb", "homology", "quartic", "--m", "5"],
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):

@@ -21,9 +21,9 @@ from degex.hilb import (
     make_config,
     structure_for,
 )
-from degex.models import cube_model, quartic_model
+from degex.models import cube_model, get_model, quartic_model
 
-from oracles import face_relation_signature
+from oracles import brute_force_stable, face_relation_signature, stable_type_count
 
 QUARTIC_BREAKDOWNS = {
     0: (10,),
@@ -77,7 +77,7 @@ def test_hilb2_coreduces_to_one_critical_cell_in_each_even_degree():
 
 
 def test_quartic_hilb3_homology():
-    # 13,444 cells: about 1 s to build and 0.1 s to coreduce on a 2-core x86
+    # 13,444 cells: about 0.35 s to build and 0.06 s to coreduce on a 2-core x86
     # host, where the full boundary matrices take 3 s and 194 MB
     K, info = build_pi(quartic_model(), m=3)
     assert tuple(info["f_vector"]) == (20, 200, 1120, 3160, 4624, 3360, 960)
@@ -137,6 +137,27 @@ def test_codim5_is_deepest():
     s = structure_for(m)
     assert all_stable(s, 5) != []
     assert all_stable(s, 6) == []
+
+
+# cube m=3 is left out: the brute-force filter alone takes about 5 s there
+@pytest.mark.parametrize(
+    "model, m", [("quartic", 1), ("quartic", 2), ("quartic", 3), ("cube", 1), ("cube", 2)]
+)
+def test_all_stable_equals_the_brute_force_filter(model, m):
+    s = structure_for(get_model(model))
+    for c in range(1, 2 * m + 3):
+        assert all_stable(s, c, m) == brute_force_stable(s, c, m)
+
+
+@pytest.mark.parametrize("model", ["quartic", "cube"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stable_type_counts_match_the_closed_form(model, m):
+    surface = get_model(model)
+    s = structure_for(surface)
+    counts = [len(all_stable(s, c, m)) for c in range(1, 2 * m + 3)]
+    assert counts == [stable_type_count(surface, c, m) for c in range(1, 2 * m + 3)]
+    if (model, m) == ("cube", 3):
+        assert counts[:-1] == [56, 1084, 7656, 23840, 36416, 26880, 7680]
 
 
 def test_same_corner_deep_types_are_three_per_corner():
