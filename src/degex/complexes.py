@@ -9,9 +9,10 @@ Homology comes from coreduction to the Morse complex, then exact rank and
 Smith normal form of its boundary: pairs of cells joined by a +-1
 coefficient are removed one at a time, each removal a unimodular change of
 basis, and ``linalg`` sees only the boundary between the critical cells that
-remain.  Rational Betti numbers come from its ranks, the torsion of H1 from
-the Smith normal form of its degree-2 part.  ``boundary_matrix`` assembles
-the full boundary, the reference the Morse path is tested against.
+remain (empty on every complex the suite builds).  Rational Betti numbers
+come from its ranks, the torsion of H1 from the Smith normal form of its
+degree-2 part.  ``boundary_matrix`` assembles the full boundary, which the
+tests' elimination oracle reduces to check the Morse path.
 """
 from __future__ import annotations
 
@@ -262,13 +263,6 @@ def h1_torsion(K: DeltaComplex) -> list[int]:
     if K.dimension < 2:
         return []
     return [d for d in smith_normal_form(_morse_boundaries(K)[2]) if d > 1]
-
-
-def homology_summary(K: DeltaComplex) -> dict:
-    return {
-        "betti": list(betti_numbers(K)),
-        "h1_torsion": h1_torsion(K),
-    }
 
 
 def to_json(K: DeltaComplex) -> str:

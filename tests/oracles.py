@@ -1,15 +1,20 @@
 """Independent reference computations that the tests compare against."""
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from heapq import heapify, heappop, heappush
+from itertools import combinations, combinations_with_replacement, compress
 from math import comb, gcd
+
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 from degex.complexes import DeltaComplex, boundary_matrix, f_vector
 from degex.hilb import components_at_codim, is_stable, make_config
-from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form
+from degex.linalg import IntMatrix
 
 
 def rank_oracle_gauss(M: IntMatrix) -> int:
-    """Naive Gaussian elimination over Fraction; independent of Bareiss."""
+    """Naive Gaussian elimination over Fraction; independent of the library's loop."""
     a = [[Fraction(v) for v in row] for row in M.entries]
     n, m = M.rows, M.cols
     rank = 0
@@ -63,16 +68,99 @@ def face_relation_signature(K: DeltaComplex):
     return sig
 
 
+def sympy_invariant_factors(rows: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors of the dense matrix rows, by sympy."""
+    if not rows or not rows[0]:
+        return []
+    dM = DomainMatrix([[ZZ(v) for v in row] for row in rows], (len(rows), len(rows[0])), ZZ)
+    return [abs(int(d)) for d in invariant_factors(dM) if d]
+
+
+def unit_eliminate(M: IntMatrix) -> tuple[int, list[list[int]]]:
+    """Eliminate M on +-1 pivots; return the pivot count and the residue.
+
+    The rows are held as ``{col: value}`` dicts with a column -> rows index.
+    Each step pivots on the +-1 entry of smallest Markowitz cost
+    (r-1)(c-1), where r is its row's and c its column's nonzero count, and
+    clears that column from the other rows.  A unit pivot is unimodular, so
+    M is equivalent to diag(1, ..., 1, R) over the integers, where R, the
+    residue, is what is left once no +-1 entry remains.  R is returned as
+    dense rows over its nonzero rows and columns; [] when nothing is left.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for i, entries in enumerate(M.entries):
+        row = dict(compress(enumerate(entries), entries))
+        if row:
+            rows[i] = row
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
+
+    # candidate pivots by (cost, row, col); an entry whose cost has changed
+    # since it was pushed is pushed again, and the stale copy is skipped
+    heap = [(cost(i, j), i, j) for i, row in rows.items() for j, v in row.items() if v in (1, -1)]
+    heapify(heap)
+    units = 0
+    while heap:
+        c, i, j = heappop(heap)
+        if i not in rows or rows[i].get(j) not in (1, -1) or c != cost(i, j):
+            continue
+        prow = rows.pop(i)
+        v = prow[j]
+        for l in prow:
+            col_rows[l].discard(i)
+        touched = col_rows.pop(j)
+        for k in touched:
+            row = rows[k]
+            f = row[j] * v
+            for l, w in prow.items():
+                x = row.get(l, 0) - f * w
+                if x:
+                    if l not in row:
+                        col_rows[l].add(k)
+                    row[l] = x
+                elif l in row:
+                    del row[l]
+                    if l != j:
+                        col_rows[l].discard(k)
+            if not row:
+                del rows[k]
+        units += 1
+        for k in touched:
+            for l, w in rows.get(k, {}).items():
+                if w in (1, -1):
+                    heappush(heap, (cost(k, l), k, l))
+        for l in prow:
+            for k in col_rows.get(l, ()):
+                if k not in touched and rows[k][l] in (1, -1):
+                    heappush(heap, (cost(k, l), k, l))
+    cols = sorted({j for row in rows.values() for j in row})
+    return units, [[row.get(j, 0) for j in cols] for row in rows.values()]
+
+
+def elimination_invariant_factors(M: IntMatrix) -> list[int]:
+    """Nonzero invariant factors of M: one 1 per unit pivot, then sympy's
+    factors of the residue.  Shares no code with ``degex.linalg``; unit
+    pivots keep it fast where sympy alone runs out of memory."""
+    units, residue = unit_eliminate(M)
+    return [1] * units + sympy_invariant_factors(residue)
+
+
 def elimination_homology(K: DeltaComplex):
     """Betti numbers and H1 torsion from the full boundary matrices of K."""
     fv = f_vector(K)
-    ranks = [0] * (K.dimension + 2)
-    for d in range(1, K.dimension + 1):
-        ranks[d] = rank_over_rationals(boundary_matrix(K, d))
-    betti = tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(K.dimension + 1))
+    factors = [[]] + [
+        elimination_invariant_factors(boundary_matrix(K, d)) for d in range(1, K.dimension + 1)
+    ] + [[]]
+    betti = tuple(
+        fv[d] - len(factors[d]) - len(factors[d + 1]) for d in range(K.dimension + 1)
+    )
     if K.dimension < 2:
         return betti, []
-    return betti, [d for d in smith_normal_form(boundary_matrix(K, 2)) if d > 1]
+    return betti, [d for d in factors[2] if d > 1]
 
 
 def brute_force_stable(structure, c: int, m: int):

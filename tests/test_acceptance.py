@@ -7,6 +7,7 @@ import json
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -218,7 +219,7 @@ def test_criterion_10_property_suites():
 
     done = timed(300)
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "tests/test_properties.py", "-q"],
+        [sys.executable, "-m", "pytest", str(Path(__file__).with_name("test_properties.py")), "-q"],
         capture_output=True,
         text=True,
     )

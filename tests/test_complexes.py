@@ -19,9 +19,9 @@ from degex.complexes import (
     to_json,
     validate,
 )
-from degex.linalg import rank_over_rationals, unit_eliminate
+from degex.linalg import rank_over_rationals
 
-from oracles import elimination_homology, face_relation_signature
+from oracles import elimination_homology, face_relation_signature, unit_eliminate
 
 
 def tetrahedron():

@@ -18,6 +18,7 @@ from degex.hilb import (
     classify_config,
     compare_with_reference,
     enumerate_cases,
+    homology_report,
     make_config,
     structure_for,
 )
@@ -84,6 +85,13 @@ def test_quartic_hilb3_homology():
     assert [M.cols for M in _morse_boundaries(K)] == [1, 0, 1, 0, 1, 0, 1]
     assert betti_numbers(K) == (1, 0, 1, 0, 1, 0, 1)
     assert h1_torsion(K) == []
+
+
+def test_homology_report_targets_the_betti_numbers_of_cp_m():
+    for m, target in ((1, [1, 0, 1]), (2, [1, 0, 1, 0, 1]), (3, [1, 0, 1, 0, 1, 0, 1])):
+        report = homology_report(quartic_model(), m)
+        assert report["betti"] == report["target_betti"] == target
+        assert report["matches_target"] is True
 
 
 def test_cube_closure_f_vector():

@@ -20,10 +20,17 @@ from degex.complexes import (
 )
 from degex.expansion import check_gluing, default_quartic_assignment, get_assignment, subdivide
 from degex.hilb import build_pi, make_config
-from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form, unit_eliminate
+from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form
 from degex.models import cube_model, find_3_labeling, labeling_is_valid, quartic_model
 
-from oracles import elimination_homology, face_relation_signature, gcd_of_minors, rank_oracle_gauss
+from oracles import (
+    elimination_homology,
+    elimination_invariant_factors,
+    face_relation_signature,
+    gcd_of_minors,
+    rank_oracle_gauss,
+    unit_eliminate,
+)
 
 FIXED = settings(
     max_examples=40,
@@ -58,7 +65,7 @@ def test_invariant_factors_divide(rows):
 
 
 # mostly 0 and +-1, like a boundary matrix, with some larger entries so that
-# unit elimination sometimes leaves a residue for the dense loops
+# the oracle's unit elimination sometimes leaves a residue for sympy
 unit_heavy_matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
         lambda m: st.lists(
@@ -80,6 +87,7 @@ def test_rank_and_invariant_factors_match_the_oracles(rows):
     M = IntMatrix.from_rows(rows)
     d = smith_normal_form(M)
     assert rank_over_rationals(M) == rank_oracle_gauss(M) == len(d)
+    assert elimination_invariant_factors(M) == d
     prod = 1
     for k, dk in enumerate(d, start=1):
         prod *= dk
