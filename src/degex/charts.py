@@ -13,8 +13,12 @@ locus the defining relations are
 together with the product identity x y z = t_1 ... t_{n+1}.  Sampling draws
 the free coordinates at random, solves for the dependent ones exactly and
 randomizes the projective representatives, so verification exercises the
-equations rather than the construction.  Projective pairs are never
-normalized; comparisons go through cross products.
+equations rather than the construction; the towers take t_1...t_k and
+t_{n+2-k}...t_{n+1} from running products across the levels k.  Each
+relation is a monomial identity lhs = rhs, checked in integers by
+cross-multiplying the reduced numerators and denominators of its factors.
+Projective pairs are never normalized; comparisons go through cross
+products.
 """
 from __future__ import annotations
 
@@ -26,6 +30,8 @@ from math import prod
 RETRY_BOUND = 64
 
 Pair = tuple[Fraction, Fraction]
+Monomial = tuple[Fraction, ...]
+Relation = tuple[Monomial, Monomial]
 
 
 @dataclass(frozen=True)
@@ -75,41 +81,56 @@ def sample_chart_point(n: int, seed: int, rng: random.Random | None = None) -> C
     y = prod(t, start=Fraction(1)) / (x * z)
     xs = []
     ys = []
+    head = tail = Fraction(1)  # t_1...t_k and t_{n+2-k}...t_{n+1}
     for k in range(1, n + 1):
+        head *= t[k - 1]
+        tail *= t[n + 1 - k]
         alpha = _nonzero_rational(rng)
-        xs.append((alpha * x, alpha * prod(t[:k], start=Fraction(1))))
+        xs.append((alpha * x, alpha * head))
         beta = _nonzero_rational(rng)
-        ys.append((beta * y, beta * prod(t[n + 1 - k :], start=Fraction(1))))
+        ys.append((beta * y, beta * tail))
     return ChartPoint(x, y, z, t, tuple(xs), tuple(ys))
 
 
-def chart_equation_residuals(p: ChartPoint) -> dict[str, Fraction]:
-    """Exact residual of every defining relation at p (all must vanish)."""
+def chart_relations(p: ChartPoint) -> dict[str, Relation]:
+    """Every defining relation at p as (lhs factors, rhs factors)."""
     n = p.depth
-    res: dict[str, Fraction] = {}
+    rels: dict[str, Relation] = {}
     if n == 0:
-        return res
-    res["x(1)"] = p.xs[0][0] * p.t[0] - p.x * p.xs[0][1]
-    res["y(1)"] = p.ys[0][0] * p.t[n] - p.y * p.ys[0][1]
+        return rels
+    rels["x(1)"] = ((p.xs[0][0], p.t[0]), (p.x, p.xs[0][1]))
+    rels["y(1)"] = ((p.ys[0][0], p.t[n]), (p.y, p.ys[0][1]))
     for k in range(2, n + 1):
-        res[f"y-chain({k})"] = (
-            p.ys[k - 2][1] * p.ys[k - 1][0] * p.t[n + 1 - k]
-            - p.ys[k - 2][0] * p.ys[k - 1][1]
+        rels[f"y-chain({k})"] = (
+            (p.ys[k - 2][1], p.ys[k - 1][0], p.t[n + 1 - k]),
+            (p.ys[k - 2][0], p.ys[k - 1][1]),
         )
-    res["y(n)-closure"] = p.ys[n - 1][0] * p.x * p.z - p.ys[n - 1][1] * p.t[0]
+    rels["y(n)-closure"] = ((p.ys[n - 1][0], p.x, p.z), (p.ys[n - 1][1], p.t[0]))
     for k in range(1, n + 1):
-        res[f"cross({k})"] = (
-            p.xs[k - 1][0] * p.ys[n - k][0] * p.z - p.xs[k - 1][1] * p.ys[n - k][1]
+        rels[f"cross({k})"] = (
+            (p.xs[k - 1][0], p.ys[n - k][0], p.z),
+            (p.xs[k - 1][1], p.ys[n - k][1]),
         )
-    return res
+    return rels
+
+
+def _monomials_equal(lhs: Monomial, rhs: Monomial) -> bool:
+    """lhs = rhs, compared in integers: a reduced Fraction has a positive
+    denominator, so the two products are equal exactly when
+    num(lhs) den(rhs) = num(rhs) den(lhs)."""
+    left = prod(f.numerator for f in lhs) * prod(f.denominator for f in rhs)
+    right = prod(f.numerator for f in rhs) * prod(f.denominator for f in lhs)
+    return left == right
 
 
 def failed_equations(p: ChartPoint) -> list[str]:
-    return sorted(name for name, r in chart_equation_residuals(p).items() if r != 0)
+    return sorted(
+        name for name, (lhs, rhs) in chart_relations(p).items() if not _monomials_equal(lhs, rhs)
+    )
 
 
 def verify_product_identity(p: ChartPoint) -> bool:
-    return p.x * p.y * p.z == prod(p.t, start=Fraction(1))
+    return _monomials_equal((p.x, p.y, p.z), p.t)
 
 
 def act(g: TorusElement, p: ChartPoint) -> ChartPoint:
@@ -218,7 +239,7 @@ def verify_torus_pairs(n: int, pairs: int, seed: int) -> dict:
         q = act(g, p)
         if failed_equations(q) or not verify_product_identity(q):
             failures.append({"pair": i, "reason": "relations broken by action"})
-        if prod(q.t, start=Fraction(1)) != prod(p.t, start=Fraction(1)):
+        if not _monomials_equal(q.t, p.t):
             failures.append({"pair": i, "reason": "base product not invariant"})
         if act(g, act(h, p)) != act(g.compose(h), p):
             failures.append({"pair": i, "reason": "group law violated"})

@@ -2,12 +2,13 @@
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, compress
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
+from degex.charts import ChartPoint
 from degex.complexes import DeltaComplex, boundary_matrix, f_vector
 from degex.hilb import components_at_codim, is_stable, make_config
 from degex.linalg import IntMatrix
@@ -187,3 +188,30 @@ def stable_type_count(model, c: int, m: int) -> int:
         r = c - 1 - s
         total += (-1) ** s * comb(c - 1, s) * multichoose(V + E * r + T * comb(r, 2), m)
     return total
+
+
+def chart_equation_residuals(p: ChartPoint) -> dict[str, Fraction]:
+    """Exact residual lhs - rhs of every defining chart relation at p, in
+    Fraction arithmetic (all vanish on the chart)."""
+    n = p.depth
+    res: dict[str, Fraction] = {}
+    if n == 0:
+        return res
+    res["x(1)"] = p.xs[0][0] * p.t[0] - p.x * p.xs[0][1]
+    res["y(1)"] = p.ys[0][0] * p.t[n] - p.y * p.ys[0][1]
+    for k in range(2, n + 1):
+        res[f"y-chain({k})"] = (
+            p.ys[k - 2][1] * p.ys[k - 1][0] * p.t[n + 1 - k]
+            - p.ys[k - 2][0] * p.ys[k - 1][1]
+        )
+    res["y(n)-closure"] = p.ys[n - 1][0] * p.x * p.z - p.ys[n - 1][1] * p.t[0]
+    for k in range(1, n + 1):
+        res[f"cross({k})"] = (
+            p.xs[k - 1][0] * p.ys[n - k][0] * p.z - p.xs[k - 1][1] * p.ys[n - k][1]
+        )
+    return res
+
+
+def product_identity_residual(p: ChartPoint) -> Fraction:
+    """x y z - t_1...t_{n+1} in Fraction arithmetic."""
+    return p.x * p.y * p.z - prod(p.t, start=Fraction(1))

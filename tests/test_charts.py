@@ -4,11 +4,11 @@ from math import prod
 
 import pytest
 
+from degex import charts
 from degex.charts import (
     ChartPoint,
     TorusElement,
     act,
-    chart_equation_residuals,
     delta_coincidence_check,
     failed_equations,
     pairs_proportional,
@@ -17,6 +17,8 @@ from degex.charts import (
     verify_samples,
     verify_torus_pairs,
 )
+
+from oracles import chart_equation_residuals
 
 
 def test_equations_hold_n1():
@@ -45,11 +47,58 @@ def test_product_identity_n0_through_3():
             assert verify_product_identity(p)
 
 
+def _perturbed(p: ChartPoint) -> ChartPoint:
+    return ChartPoint(p.x, p.y, p.z, (p.t[0] + 1,) + p.t[1:], p.xs, p.ys)
+
+
 def test_perturbed_point_fails():
-    p = sample_chart_point(1, seed=1)
-    bad = ChartPoint(p.x, p.y, p.z, (p.t[0] + 1, p.t[1]), p.xs, p.ys)
+    bad = _perturbed(sample_chart_point(1, seed=1))
     assert not verify_product_identity(bad)
     assert failed_equations(bad) != []
+
+
+def test_verify_samples_reports_failing_relations(monkeypatch):
+    sample = charts.sample_chart_point
+    monkeypatch.setattr(
+        charts, "sample_chart_point", lambda *args, **kwargs: _perturbed(sample(*args, **kwargs))
+    )
+    rep = verify_samples(2, samples=3, seed=5)
+    assert not rep["pass"]
+    assert rep["failures"] == [
+        failure
+        for i in range(3)
+        for failure in (
+            {"sample": i, "failed_equations": ["x(1)", "y(n)-closure"]},
+            {"sample": i, "failed_equations": ["product-identity"]},
+        )
+    ]
+
+
+def test_verify_torus_pairs_reports_a_broken_action(monkeypatch):
+    def towers_left_behind(g, p):
+        return ChartPoint(p.x, p.y, p.z, act(g, p).t, p.xs, p.ys)
+
+    monkeypatch.setattr(charts, "act", towers_left_behind)
+    rep = verify_torus_pairs(2, pairs=10, seed=3)
+    assert not rep["pass"]
+    assert {f["reason"] for f in rep["failures"]} == {"relations broken by action"}
+
+    def not_a_homomorphism(g, p):
+        return act(TorusElement(tuple(tau * tau + 1 for tau in g.taus)), p)
+
+    monkeypatch.setattr(charts, "act", not_a_homomorphism)
+    rep = verify_torus_pairs(2, pairs=10, seed=3)
+    assert not rep["pass"]
+    assert {f["reason"] for f in rep["failures"]} == {"group law violated"}
+
+
+def test_sampled_towers_match_their_definition():
+    for n in range(9):
+        for seed in range(5):
+            p = sample_chart_point(n, seed=seed)
+            for k in range(1, n + 1):
+                assert pairs_proportional(p.xs[k - 1], (p.x, prod(p.t[:k])))
+                assert pairs_proportional(p.ys[k - 1], (p.y, prod(p.t[n + 1 - k :])))
 
 
 def test_sampling_deterministic_per_seed():

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from degex import complexes
+from degex import charts, complexes
+from degex.charts import ChartPoint
 from degex.cli import run
 from degex.expansion import default_quartic_assignment
 from degex.projectivity import builtin_certificates, certificates_to_json
@@ -95,6 +96,26 @@ def test_charts_verify(capsys):
     assert code == 0
     assert report["results"]["pass"]
     assert report["results"]["coincidence"] == {"1": True}
+
+
+def test_charts_verify_fails_on_a_point_off_the_chart(monkeypatch, capsys):
+    sample = charts.sample_chart_point
+
+    def perturbed(*args, **kwargs):
+        p = sample(*args, **kwargs)
+        return ChartPoint(p.x, p.y, p.z, (p.t[0] + 1,) + p.t[1:], p.xs, p.ys)
+
+    monkeypatch.setattr(charts, "sample_chart_point", perturbed)
+    code, report = invoke(
+        ["charts", "verify", "--n", "1", "--samples", "2", "--seed", "1", "--pairs", "2"],
+        capsys,
+    )
+    assert code == 1
+    assert report["status"] == "fail"
+    results = report["results"]
+    assert not results["pass"] and not results["samples"]["pass"]
+    assert {"sample": 0, "failed_equations": ["x(1)", "y(n)-closure"]} in results["failures"]
+    assert {"sample": 0, "failed_equations": ["product-identity"]} in results["failures"]
 
 
 def test_hilb_count_quartic(capsys):

@@ -1,11 +1,18 @@
 """Property suites over the module invariants, with fixed seeds."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import HealthCheck, Phase, find, given, settings
+from hypothesis import HealthCheck, Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
+from degex.charts import (
+    chart_relations,
+    failed_equations,
+    sample_chart_point,
+    verify_product_identity,
+)
 from degex.complexes import (
     _morse_boundaries,
     betti_numbers,
@@ -24,10 +31,12 @@ from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form
 from degex.models import cube_model, find_3_labeling, labeling_is_valid, quartic_model
 
 from oracles import (
+    chart_equation_residuals,
     elimination_homology,
     elimination_invariant_factors,
     face_relation_signature,
     gcd_of_minors,
+    product_identity_residual,
     rank_oracle_gauss,
     unit_eliminate,
 )
@@ -207,3 +216,43 @@ def test_morse_homology_matches_the_full_boundary_on_built_complexes():
         ]
         for K in complexes:
             assert (betti_numbers(K), h1_torsion(K)) == elimination_homology(K)
+
+
+def _replaced(entry, index, value):
+    if not index:
+        return value
+    i, *rest = index
+    return entry[:i] + (_replaced(entry[i], rest, value),) + entry[i + 1 :]
+
+
+@st.composite
+def perturbed_chart_points(draw):
+    """A sampled chart point of depth at most 8, and the same point with one
+    coordinate, pair entry or base parameter replaced by another rational."""
+    n = draw(st.integers(0, 8))
+    p = sample_chart_point(n, draw(st.integers(0, 2**30)))
+    slots = [("x",), ("y",), ("z",)] + [("t", i) for i in range(n + 1)]
+    slots += [(tower, k, j) for tower in ("xs", "ys") for k in range(n) for j in (0, 1)]
+    field, *index = draw(st.sampled_from(slots))
+    value = draw(st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=9)))
+    bad = replace(p, **{field: _replaced(getattr(p, field), index, value)})
+    assume(bad != p)
+    return p, bad
+
+
+@settings(FIXED, max_examples=200)
+@given(perturbed_chart_points())
+def test_integer_chart_checks_match_the_fraction_residual_oracle(points):
+    p, bad = points
+    for q in (p, bad):
+        residuals = chart_equation_residuals(q)
+        assert set(chart_relations(q)) == set(residuals)
+        assert failed_equations(q) == sorted(name for name, r in residuals.items() if r != 0)
+        assert verify_product_identity(q) == (product_identity_residual(q) == 0)
+    assert failed_equations(p) == [] and verify_product_identity(p)
+    # every coordinate of a sampled point is nonzero and enters some relation
+    # (at depth 0 only the product identity), so the replacement breaks one
+    if p.depth:
+        assert failed_equations(bad)
+    else:
+        assert not verify_product_identity(bad)
