@@ -9,8 +9,10 @@ Homology comes from coreduction to the Morse complex, then exact rank and
 Smith normal form of its boundary: pairs of cells joined by a +-1
 coefficient are removed one at a time, each removal a unimodular change of
 basis, and ``linalg`` sees only the boundary between the critical cells that
-remain (empty on every complex the suite builds).  Rational Betti numbers
-come from its ranks, the torsion of H1 from the Smith normal form of its
+remain (empty on every complex the suite builds).  A complex is coreduced
+once: its Morse boundaries are computed on first use and kept with it, so
+``betti_numbers`` and ``h1_torsion`` share them.  Rational Betti numbers
+come from their ranks, the torsion of H1 from the Smith normal form of the
 degree-2 part.  ``boundary_matrix`` assembles the full boundary, which the
 tests' elimination oracle reduces to check the Morse path.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import IntMatrix, rank_over_rationals, smith_normal_form
 
@@ -80,6 +83,12 @@ class DeltaComplex:
 
     def cells_of_dim(self, d: int) -> list[Cell]:
         return [c for c in self.cells() if c.dim == d]
+
+    @cached_property
+    def morse_boundaries(self) -> list[IntMatrix]:
+        """``_morse_boundaries(self)``, coreduced on first use and shared by
+        every later reader, which must not modify the matrices."""
+        return _morse_boundaries(self)
 
 
 def validate(K: DeltaComplex) -> list[Violation]:
@@ -249,7 +258,7 @@ def _morse_boundaries(K: DeltaComplex) -> list[IntMatrix]:
 
 def betti_numbers(K: DeltaComplex) -> tuple[int, ...]:
     """Rational Betti numbers b_0..b_dim from the ranks of the Morse boundary."""
-    morse = _morse_boundaries(K)
+    morse = K.morse_boundaries
     ranks = [0] * (K.dimension + 2)
     for d in range(1, K.dimension + 1):
         ranks[d] = rank_over_rationals(morse[d])
@@ -262,7 +271,7 @@ def h1_torsion(K: DeltaComplex) -> list[int]:
     """Invariant factors > 1 of the degree-2 Morse boundary (torsion of H1)."""
     if K.dimension < 2:
         return []
-    return [d for d in smith_normal_form(_morse_boundaries(K)[2]) if d > 1]
+    return [d for d in smith_normal_form(K.morse_boundaries[2]) if d > 1]
 
 
 def to_json(K: DeltaComplex) -> str:

@@ -18,14 +18,20 @@ collapse maps commute, so the alternating-sign boundary squares to zero.
 
 The complex is built from one concept: every stable type is a cell, its
 faces are given by the facet maps, and validation proves every facet is
-itself a stable type and that the boundary squares to zero.  The
-case-family counts (orbit counting over the model strata, one named family
-per proof case) are an independent census of the same cells; the two must
-agree family by family, and a mismatch is a hard failure.
+itself a stable type and that the boundary squares to zero.  Each stable
+type's label and key are formatted once, lowest codimension first; the
+collapse maps are tabulated once per codimension and slot over the
+components, and a facet finds its id among the keys of the level below.  A
+facet that is not a stable type keeps its own canonical key, which
+validation reports as a dangling face.  The case-family counts (orbit
+counting over the model strata, one named family per proof case) are an
+independent census of the same cells; the two must agree family by family,
+and a mismatch is a hard failure whose report lists the keys per family.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, zip_longest
 
 from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector, validate
@@ -84,9 +90,13 @@ class ConfigType:
     codim: int
     points: tuple
 
+    @cached_property
+    def label(self) -> str:
+        return " + ".join(point_str(p) for p in self.points)
+
     @property
     def canonical_key(self) -> str:
-        return f"c{self.codim}:" + " + ".join(point_str(p) for p in self.points)
+        return f"c{self.codim}:" + self.label
 
 
 def make_config(codim: int, points) -> ConfigType:
@@ -188,15 +198,11 @@ def collapse_point(p, i: int, c: int, structure: ExpansionStructure):
     return ("B", t, merged(j), merged(k))
 
 
-def facets(cfg: ConfigType, structure: ExpansionStructure) -> list[ConfigType]:
-    """Ordered facet slots; slot i un-vanishes the i-th base coordinate."""
-    return [
-        make_config(
-            cfg.codim - 1,
-            (collapse_point(p, i, cfg.codim, structure) for p in cfg.points),
-        )
-        for i in range(1, cfg.codim + 1)
-    ]
+def collapse_tables(structure: ExpansionStructure, c: int) -> list[dict]:
+    """Collapse map of each facet slot i = 1..c, tabulated over the components
+    of codimension c; slot i un-vanishes the i-th base coordinate."""
+    comps = components_at_codim(structure, c)
+    return [{p: collapse_point(p, i, c, structure) for p in comps} for i in range(1, c + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -414,28 +420,38 @@ def build_pi(model: SurfaceModel, m: int = 2):
         for k, cfgs in enumerate(levels):
             breakdown = enumerate_cases(model, k)
             expected = dict(breakdown.cases)
-            got: dict[str, list[str]] = {}
+            got: dict[str, list[ConfigType]] = {}
             for cfg in cfgs:
-                got.setdefault(classify_config(cfg, model), []).append(cfg.canonical_key)
-            if expected != {fam: len(keys) for fam, keys in got.items()}:
+                got.setdefault(classify_config(cfg, model), []).append(cfg)
+            if expected != {fam: len(cs) for fam, cs in got.items()}:
                 raise EnumerationMismatch(
                     f"case census and stable types disagree at dimension {k}",
                     {
                         "dimension": k,
                         "case_counts": expected,
-                        "stable_type_counts": {f: sorted(ks) for f, ks in got.items()},
+                        "stable_type_counts": {
+                            fam: sorted(cfg.canonical_key for cfg in cs)
+                            for fam, cs in got.items()
+                        },
                     },
                 )
             breakdowns.append(breakdown)
 
+    # every facet of a stable type is looked up among the keys of the level
+    # below; one that is not a stable type keeps its own key, which
+    # validate reports as a dangling face id
+    keys: dict[ConfigType, str] = {}
     cells = []
     for k, cfgs in enumerate(levels):
+        # vertices have no facet slots
+        slots = list(enumerate(collapse_tables(structure, k + 1))) if k else []
         for cfg in cfgs:
-            fs = facets(cfg, structure) if k else []
-            faces = tuple((f.canonical_key, (-1) ** i) for i, f in enumerate(fs))
-            cells.append(
-                Cell(cfg.canonical_key, k, " + ".join(point_str(p) for p in cfg.points), faces)
-            )
+            faces = []
+            for i, table in slots:
+                f = make_config(k, [table[p] for p in cfg.points])
+                faces.append((keys.get(f) or f.canonical_key, (-1) ** i))
+            key = keys[cfg] = cfg.canonical_key
+            cells.append(Cell(key, k, cfg.label, tuple(faces)))
     K = DeltaComplex(cells)
     problems = validate(K)
     if problems:

@@ -26,13 +26,6 @@ class IntMatrix:
                 raise ValueError("entry storage does not match dimensions")
             self.entries = entries
 
-    @classmethod
-    def from_rows(cls, entries) -> "IntMatrix":
-        entries = [list(r) for r in entries]
-        rows = len(entries)
-        cols = len(entries[0]) if entries else 0
-        return cls(rows, cols, entries)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

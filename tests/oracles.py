@@ -9,9 +9,22 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
 from degex.charts import ChartPoint
-from degex.complexes import DeltaComplex, boundary_matrix, f_vector
-from degex.hilb import components_at_codim, is_stable, make_config
+from degex.complexes import Cell, DeltaComplex, boundary_matrix, f_vector
+from degex.hilb import (
+    all_stable,
+    collapse_point,
+    components_at_codim,
+    is_stable,
+    make_config,
+    point_str,
+    structure_for,
+)
 from degex.linalg import IntMatrix
+
+
+def int_matrix(rows: list[list[int]]) -> IntMatrix:
+    """IntMatrix of the given nonempty dense rows."""
+    return IntMatrix(len(rows), len(rows[0]), rows)
 
 
 def rank_oracle_gauss(M: IntMatrix) -> int:
@@ -171,6 +184,36 @@ def brute_force_stable(structure, c: int, m: int):
         for pts in combinations_with_replacement(components_at_codim(structure, c), m)
         if is_stable(pts, c)
     ]
+
+
+def key_per_facet_cells(model, m: int) -> list[Cell]:
+    """Cells of the dual complex with every key formatted where it is used:
+    each stable type's key for its own cell, and each facet's key again,
+    from its own collapse_point calls, for every face entry."""
+
+    def key(cfg):
+        return f"c{cfg.codim}:" + " + ".join(point_str(p) for p in cfg.points)
+
+    def facets(cfg, structure):
+        return [
+            make_config(
+                cfg.codim - 1,
+                (collapse_point(p, i, cfg.codim, structure) for p in cfg.points),
+            )
+            for i in range(1, cfg.codim + 1)
+        ]
+
+    structure = structure_for(model)
+    levels = []
+    while cfgs := all_stable(structure, len(levels) + 1, m):
+        levels.append(cfgs)
+    cells = []
+    for k, cfgs in enumerate(levels):
+        for cfg in cfgs:
+            fs = facets(cfg, structure) if k else []
+            faces = tuple((key(f), (-1) ** i) for i, f in enumerate(fs))
+            cells.append(Cell(key(cfg), k, " + ".join(point_str(p) for p in cfg.points), faces))
+    return cells
 
 
 def multichoose(n: int, k: int) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from degex import charts, complexes
+from degex import charts, complexes, hilb
 from degex.charts import ChartPoint
 from degex.cli import run
 from degex.expansion import default_quartic_assignment
@@ -127,6 +127,28 @@ def test_hilb_count_quartic(capsys):
     assert res["agreement"] is True
     assert res["euler"] == 3
     assert [b["total"] for b in res["breakdowns"]] == [10, 45, 110, 120, 48]
+
+
+def test_hilb_count_reports_a_census_mismatch(monkeypatch, capsys):
+    classify = hilb.classify_config
+    # every vertex filed under a family of the wrong dimension
+    monkeypatch.setattr(
+        hilb,
+        "classify_config",
+        lambda cfg, model: "double point on one edge bundle"
+        if cfg.codim == 1
+        else classify(cfg, model),
+    )
+    code = run(["hilb", "count", "quartic"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "fail"
+    inconsistency = report["results"]["internal_inconsistency"]
+    assert inconsistency["message"] == "case census and stable types disagree at dimension 0"
+    keys = inconsistency["diff"]["stable_type_counts"]["double point on one edge bundle"]
+    assert len(keys) == 10 and keys == sorted(keys)
+    assert "f_vector" not in report["results"]
 
 
 def test_hilb_count_cube_flagged(capsys):

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from degex import complexes
 from degex.complexes import (
     Cell,
     DeltaComplex,
@@ -19,7 +20,7 @@ from degex.complexes import (
     to_json,
     validate,
 )
-from degex.linalg import rank_over_rationals
+from degex.linalg import rank_over_rationals, smith_normal_form
 
 from oracles import elimination_homology, face_relation_signature, unit_eliminate
 
@@ -132,6 +133,31 @@ def test_a_coefficient_of_two_is_never_paired():
     assert betti_numbers(K) == (1, 0, 0)
     assert h1_torsion(K) == [2]
     assert elimination_homology(K) == ((1, 0, 0), [2])
+
+
+def test_a_complex_is_coreduced_once(monkeypatch):
+    coreduce = complexes._morse_boundaries
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return coreduce(K)
+
+    monkeypatch.setattr(complexes, "_morse_boundaries", counted)
+    K = projective_plane_with_a_doubled_edge()
+    assert betti_numbers(K) == (1, 0, 0)
+    assert h1_torsion(K) == [2]
+    assert calls == [K]
+    for M in K.morse_boundaries:
+        rank_over_rationals(M)
+        smith_normal_form(M)
+    # reading the shared matrices leaves their entries as coreduction made them
+    assert [M.entries for M in K.morse_boundaries] == [M.entries for M in coreduce(K)]
+    assert K.morse_boundaries[2].entries == [[2]]
+    L = projective_plane()
+    assert betti_numbers(L) == (1, 0, 0)
+    assert h1_torsion(L) == [2]
+    assert calls == [K, L]
 
 
 def test_projective_plane_torsion_comes_from_the_residue():

@@ -2,6 +2,7 @@ import pytest
 
 from degex import hilb
 from degex.complexes import (
+    DeltaComplex,
     _morse_boundaries,
     betti_numbers,
     euler_characteristic,
@@ -24,7 +25,12 @@ from degex.hilb import (
 )
 from degex.models import cube_model, get_model, quartic_model
 
-from oracles import brute_force_stable, face_relation_signature, stable_type_count
+from oracles import (
+    brute_force_stable,
+    face_relation_signature,
+    key_per_facet_cells,
+    stable_type_count,
+)
 
 QUARTIC_BREAKDOWNS = {
     0: (10,),
@@ -137,7 +143,50 @@ def test_facet_outside_the_stable_types_is_a_dangling_face(monkeypatch):
     monkeypatch.setattr(hilb, "collapse_point", leaky)
     with pytest.raises(EnumerationMismatch) as exc:
         build_pi(quartic_model(), m=2)
-    assert any(v.startswith("dangling face id") for v in exc.value.diff["violations"])
+    # the leaked facet keeps its own canonical key, which names no cell
+    assert any(
+        v.startswith("dangling face id") and v.endswith(": c1:Y0 + Y2")
+        for v in exc.value.diff["violations"]
+    )
+
+
+@pytest.mark.parametrize(
+    "model, m", [("quartic", 1), ("quartic", 2), ("quartic", 3), ("cube", 1), ("cube", 2)]
+)
+def test_cells_match_the_key_per_facet_construction(model, m):
+    K, _ = build_pi(get_model(model), m)
+    reference = DeltaComplex(key_per_facet_cells(get_model(model), m))
+    assert [(c.id, c.dim, c.label, c.faces) for c in K.cells()] == [
+        (c.id, c.dim, c.label, c.faces) for c in reference.cells()
+    ]
+
+
+def test_a_census_mismatch_lists_the_sorted_keys_per_family(monkeypatch):
+    model = quartic_model()
+    classify = hilb.classify_config
+    double_point = make_config(2, (("E", ("Y1", "Y2"), 1), ("E", ("Y1", "Y2"), 1)))
+    assert classify(double_point, model) == "double point on one edge bundle"
+
+    def misfiled(cfg, surface):
+        if cfg == double_point:
+            return "bundles over disjoint edges"
+        return classify(cfg, surface)
+
+    expected: dict[str, list[str]] = {}
+    for cfg in all_stable(structure_for(model), 2):
+        expected.setdefault(misfiled(cfg, model), []).append(cfg.canonical_key)
+    monkeypatch.setattr(hilb, "classify_config", misfiled)
+    # types generated in key order would hide an unsorted diff
+    generate = hilb.all_stable
+    monkeypatch.setattr(hilb, "all_stable", lambda *args: generate(*args)[::-1])
+    with pytest.raises(EnumerationMismatch) as exc:
+        build_pi(model, m=2)
+    diff = exc.value.diff
+    assert diff["dimension"] == 1
+    assert diff["case_counts"] == dict(enumerate_cases(model, 1).cases)
+    assert diff["stable_type_counts"] == {fam: sorted(keys) for fam, keys in expected.items()}
+    assert double_point.canonical_key in diff["stable_type_counts"]["bundles over disjoint edges"]
+    assert len(diff["stable_type_counts"]["double point on one edge bundle"]) == 5
 
 
 def test_codim5_is_deepest():

@@ -12,6 +12,7 @@ from degex.models import cube_model, quartic_model
 from oracles import (
     elimination_invariant_factors,
     gcd_of_minors,
+    int_matrix,
     rank_oracle_gauss,
     sympy_invariant_factors,
     unit_eliminate,
@@ -19,7 +20,7 @@ from oracles import (
 
 
 def test_rank_identity():
-    M = IntMatrix.from_rows([[1, 0], [0, 1]])
+    M = int_matrix([[1, 0], [0, 1]])
     assert rank_over_rationals(M) == 2
 
 
@@ -31,7 +32,7 @@ def test_rank_zero_matrix():
 
 def test_rank_dependent_rows():
     # hand elimination: second row is twice the first
-    assert rank_over_rationals(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rank_over_rationals(int_matrix([[1, 2], [2, 4]])) == 1
 
 
 def test_rank_matches_gauss_oracle_on_random_matrices():
@@ -39,14 +40,14 @@ def test_rank_matches_gauss_oracle_on_random_matrices():
     for _ in range(60):
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
-        M = IntMatrix.from_rows(
+        M = int_matrix(
             [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
         )
         assert rank_over_rationals(M) == rank_oracle_gauss(M)
 
 
 def test_snf_identity():
-    assert smith_normal_form(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == [1, 1, 1]
+    assert smith_normal_form(int_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == [1, 1, 1]
 
 
 def test_snf_zero():
@@ -55,7 +56,7 @@ def test_snf_zero():
 
 
 def test_snf_diagonal_via_minor_gcds():
-    M = IntMatrix.from_rows([[2, 0], [0, 4]])
+    M = int_matrix([[2, 0], [0, 4]])
     d = smith_normal_form(M)
     # minors-gcd oracle: d1 = gcd of entries, d1*d2 = gcd of 2x2 minors
     assert d[0] == gcd_of_minors(M, 1)
@@ -68,7 +69,7 @@ def test_snf_divisibility_and_minor_gcds_random():
     for _ in range(40):
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
-        M = IntMatrix.from_rows(
+        M = int_matrix(
             [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
         )
         d = smith_normal_form(M)
@@ -85,7 +86,7 @@ def test_rank_equals_number_of_invariant_factors():
     for _ in range(40):
         n = rng.randint(1, 5)
         m = rng.randint(1, 5)
-        M = IntMatrix.from_rows(
+        M = int_matrix(
             [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
         )
         assert rank_over_rationals(M) == len(smith_normal_form(M))
@@ -102,7 +103,7 @@ def test_rational_roundtrip_exact():
 def test_snf_of_a_matrix_without_unit_entries():
     # no +-1 entry, so the oracle hands sympy the whole matrix; choosing the
     # pivot from the remainders alone grew these entries past a million bits
-    M = IntMatrix.from_rows(
+    M = int_matrix(
         [
             [-91, 36, 253, -148, 20],
             [-29, 19, 46, -38, -8],

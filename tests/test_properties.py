@@ -27,7 +27,7 @@ from degex.complexes import (
 )
 from degex.expansion import check_gluing, default_quartic_assignment, get_assignment, subdivide
 from degex.hilb import build_pi, make_config
-from degex.linalg import IntMatrix, rank_over_rationals, smith_normal_form
+from degex.linalg import rank_over_rationals, smith_normal_form
 from degex.models import cube_model, find_3_labeling, labeling_is_valid, quartic_model
 
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     elimination_invariant_factors,
     face_relation_signature,
     gcd_of_minors,
+    int_matrix,
     product_identity_residual,
     rank_oracle_gauss,
     unit_eliminate,
@@ -62,14 +63,14 @@ matrices = st.integers(1, 5).flatmap(
 @FIXED
 @given(matrices)
 def test_rank_equals_nonzero_invariant_factors(rows):
-    M = IntMatrix.from_rows(rows)
+    M = int_matrix(rows)
     assert rank_over_rationals(M) == len(smith_normal_form(M))
 
 
 @FIXED
 @given(matrices)
 def test_invariant_factors_divide(rows):
-    d = smith_normal_form(IntMatrix.from_rows(rows))
+    d = smith_normal_form(int_matrix(rows))
     assert all(b % a == 0 for a, b in zip(d, d[1:]))
 
 
@@ -93,7 +94,7 @@ unit_heavy_matrices = st.integers(1, 5).flatmap(
 @FIXED
 @given(unit_heavy_matrices)
 def test_rank_and_invariant_factors_match_the_oracles(rows):
-    M = IntMatrix.from_rows(rows)
+    M = int_matrix(rows)
     d = smith_normal_form(M)
     assert rank_over_rationals(M) == rank_oracle_gauss(M) == len(d)
     assert elimination_invariant_factors(M) == d
@@ -107,7 +108,7 @@ def test_unit_heavy_matrices_reach_both_paths():
     for residue_left in (False, True):
         find(
             unit_heavy_matrices,
-            lambda rows: bool(unit_eliminate(IntMatrix.from_rows(rows))[1]) == residue_left,
+            lambda rows: bool(unit_eliminate(int_matrix(rows))[1]) == residue_left,
             settings=FIXED,
         )
 
