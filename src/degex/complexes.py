@@ -325,14 +325,13 @@ def export(K: DeltaComplex, format: str) -> bytes:
     raise ValueError(f"unknown export format: {format}")
 
 
-def simplex_complex(triangles, vertex_labels=None) -> DeltaComplex:
+def simplex_complex(triangles) -> DeltaComplex:
     """Build the delta-complex of a set of triangles given as vertex triples.
 
     Vertices are identified by name; edges are the canonical sorted pairs.
     Orientations use the sorted-vertex convention, so the composed boundary
     vanishes by construction.
     """
-    vertex_labels = vertex_labels or {}
     verts: dict[str, Cell] = {}
     edges: dict[tuple[str, str], Cell] = {}
     cells: list[Cell] = []
@@ -340,7 +339,7 @@ def simplex_complex(triangles, vertex_labels=None) -> DeltaComplex:
     def vertex(name: str) -> str:
         vid = f"v:{name}"
         if vid not in verts:
-            verts[vid] = Cell(vid, 0, vertex_labels.get(name, name))
+            verts[vid] = Cell(vid, 0, name)
         return vid
 
     def edge(a: str, b: str) -> str:

@@ -18,16 +18,18 @@ endpoint.
 Realization is combinatorial, on the level grid of each triangle.  Grid
 point (a, b), 0 <= a <= b <= n+1, is where the level-a chord parallel to S-T
 meets the level-b chord parallel to F-T (levels 0 and n+1 being the sides
-themselves).  It lies on the F-S edge when a = b, on the S-T edge when
-a = 0, on the F-T edge when b = n+1, and is otherwise the corner box (a, b).
-Level k of an edge is its k-th point from the distinguished endpoint; a
-node that only the neighbouring triangle places on a shared edge is a
-foreign point and sits between two consecutive levels.  Grid region
-(i, j), 0 <= i <= j <= n, is a triangle along F-S when i = j and a
-quadrilateral otherwise, with the foreign points inserted along its sides on
-the base edges.  Regions are recorded as polygonal vertex cycles; the
-delta-complex view star triangulates every region from an auxiliary center
-vertex, which preserves the closed-surface invariants.
+themselves).  `grid_side` is the one classifier of grid points, used by
+`subdivide` and by the Hilbert-square face maps: the point lies on the F-S
+edge when a = b, on the S-T edge when a = 0, on the F-T edge when b = n+1,
+and is otherwise the corner box (a, b).  Level k of an edge is its k-th
+point from the distinguished endpoint; a node that only the neighbouring
+triangle places on a shared edge is a foreign point and sits between two
+consecutive levels.  Grid region (i, j), 0 <= i <= j <= n, is a triangle
+along F-S when i = j and a quadrilateral otherwise, with the foreign points
+inserted along its sides on the base edges.  Regions are recorded as
+polygonal vertex cycles; the delta-complex view star triangulates every
+region from an auxiliary center vertex, which preserves the closed-surface
+invariants.
 """
 from __future__ import annotations
 
@@ -79,6 +81,18 @@ def edge_roles(assignment: BlowupAssignment, tri) -> dict[str, tuple[Pair, str]]
     endpoint: S on the F-S and S-T edges, T on the F-T edge."""
     F, S, T = assignment.roles(tri)
     return {"FS": (edge_key(F, S), S), "ST": (edge_key(S, T), S), "FT": (edge_key(F, T), T)}
+
+
+def grid_side(a: int, b: int, n: int) -> tuple[str, int] | None:
+    """(edge role, level on that edge) of grid point (a, b) at depth n, or None
+    for the corner box (a, b).  Corners are named on F-S: (0, 0) is S."""
+    if a == b:
+        return "FS", a
+    if a == 0:
+        return "ST", b
+    if b == n + 1:
+        return "FT", a
+    return None
 
 
 def default_quartic_assignment() -> BlowupAssignment:
@@ -382,13 +396,8 @@ def subdivide(
 
         def point(a: int, b: int) -> str:
             """Vertex id of grid point (a, b)."""
-            if a == b:
-                return side_point("FS", a)
-            if a == 0:
-                return side_point("ST", b)
-            if b == n + 1:
-                return side_point("FT", a)
-            return box_id[(tri, a, b)]
+            side = grid_side(a, b, n)
+            return box_id[(tri, a, b)] if side is None else side_point(*side)
 
         def foreign(p, q) -> list[str]:
             """Vertex ids strictly between grid points p and q when both lie

@@ -12,9 +12,11 @@ multisets: a partial choice is dropped once its uncovered levels outnumber
 twice the points still to place, since a component covers at most two levels.
 
 k-simplices of the dual complex correspond to types of base codimension
-k+1.  The k+1 facet slots un-vanish one base coordinate each: slot i merges
-the level-i segment away, sending each component to its limit.  These
-collapse maps commute, so the alternating-sign boundary squares to zero.
+k+1.  The k+1 facet slots un-vanish one base coordinate each: slot i
+contracts segment t_i of the expansion's level grid (levels i-1 and i
+merge), and `expansion.grid_side` names where each component lands.  The
+contractions satisfy the simplicial identities d_i d_j = d_{j-1} d_i for
+i < j, so the alternating-sign boundary squares to zero.
 
 The complex is built from one concept: every stable type is a cell, its
 faces are given by the facet maps, and validation proves every facet is
@@ -35,7 +37,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement, zip_longest
 
 from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector, validate
-from .expansion import BlowupAssignment, edge_roles, get_assignment
+from .expansion import BlowupAssignment, edge_roles, get_assignment, grid_side
 from .models import SurfaceModel, get_model
 
 # f-vector of the known 10-vertex simplicial triangulation of CP^2; the
@@ -44,7 +46,6 @@ from .models import SurfaceModel, get_model
 REFERENCE_CP2_10_VERTEX = (10, 45, 110, 120, 48)
 # published totals claimed for the cube complex, compared but never forced
 CUBE_CLAIMED_TOTALS = (21, 120, 420, 480, 192)
-CP2_EULER = 3
 
 INDEX_CONVENTION_NOTE = (
     "k-simplices carry base codimension k+1; the alternative convention "
@@ -165,37 +166,27 @@ def all_stable(structure: ExpansionStructure, c: int, m: int = 2) -> list[Config
 
 
 def collapse_point(p, i: int, c: int, structure: ExpansionStructure):
-    """Limit of a component when the level-i base coordinate un-vanishes."""
+    """Limit of a component when the level-i base coordinate un-vanishes:
+    segment t_i of the level grid contracts, so level l stays l for l < i
+    and becomes l - 1 otherwise, on the grid of depth c - 2.  An edge level
+    0 or c - 1 is the edge's distinguished or far endpoint."""
     if p[0] == "Y":
         return p
+
+    def phi(level: int) -> int:
+        return level if level < i else level - 1
+
     if p[0] == "E":
-        _, e, k = p
-        if i == 1:
-            return ("Y", structure.distinguished[e]) if k == 1 else ("E", e, k - 1)
-        if i == c:
-            return ("Y", structure.far_end[e]) if k == c - 1 else ("E", e, k)
-        if k <= i - 2:
-            return ("E", e, k)
-        if k in (i - 1, i):
-            return ("E", e, i - 1)
-        return ("E", e, k - 1)
-    _, t, j, k = p
-    edges = structure.role_edges[t]
-    if i == 1:
-        if j == 1:
-            return ("E", edges["ST"], k - 1)
-        return ("B", t, j - 1, k - 1)
-    if i == c:
-        if k == c - 1:
-            return ("E", edges["FT"], j)
-        return ("B", t, j, k)
-    if (j, k) == (i - 1, i):
-        return ("E", edges["FS"], i - 1)
-
-    def merged(level: int) -> int:
-        return level if level <= i - 1 else level - 1
-
-    return ("B", t, merged(j), merged(k))
+        e, level = p[1], phi(p[2])
+    else:
+        t, j, k = p[1], phi(p[2]), phi(p[3])
+        side = grid_side(j, k, c - 2)
+        if side is None:
+            return ("B", t, j, k)
+        e, level = structure.role_edges[t][side[0]], side[1]
+    if 0 < level < c - 1:
+        return ("E", e, level)
+    return ("Y", structure.distinguished[e] if level == 0 else structure.far_end[e])
 
 
 def collapse_tables(structure: ExpansionStructure, c: int) -> list[dict]:
@@ -472,26 +463,27 @@ def build_pi(model: SurfaceModel, m: int = 2):
 def compare_with_reference(fv, model_name: str, m: int = 2) -> dict:
     """Equality report against the embedded reference counts.
 
-    For the quartic (m=2) the reference is the 10-vertex triangulation
-    f-vector together with the rational-homology targets; for the cube it is
-    the published claimed totals, whose alternating sum is surfaced next to
-    the target value 3 rather than silently accepted.  For m=1 the reference
-    is the model's own sphere.
+    The target Euler characteristic is chi(CP^m) = m + 1.  For m=1 the
+    reference is the model's own sphere.  For m=2 it is the 10-vertex
+    triangulation f-vector on the quartic, and on the cube the published
+    claimed totals, whose alternating sum is surfaced next to the target
+    rather than silently accepted.  No reference exists for m >= 3, which
+    raises ValueError.
     """
     fv = tuple(fv)
     report: dict = {"computed_f_vector": list(fv), "computed_euler": euler_of_counts(fv)}
     flags = []
+    target_euler = m + 1
     if m == 1:
         ref = f_vector(get_model(model_name).sphere)
-        target_euler = 2
         ref_name = f"dual complex of the {model_name} fibre"
+    elif m != 2:
+        raise ValueError(f"no reference f-vector for m={m}; only m=1 and m=2 have one")
     elif model_name == "quartic":
         ref = REFERENCE_CP2_10_VERTEX
-        target_euler = CP2_EULER
         ref_name = "10-vertex triangulation counts"
     else:
         ref = CUBE_CLAIMED_TOTALS
-        target_euler = CP2_EULER
         ref_name = "claimed cube totals"
     report["reference"] = {
         "name": ref_name,

@@ -12,7 +12,6 @@ from degex.charts import ChartPoint
 from degex.complexes import Cell, DeltaComplex, boundary_matrix, f_vector
 from degex.hilb import (
     all_stable,
-    collapse_point,
     components_at_codim,
     is_stable,
     make_config,
@@ -186,10 +185,46 @@ def brute_force_stable(structure, c: int, m: int):
     ]
 
 
+def case_collapse_point(p, i: int, c: int, structure):
+    """Limit of a component when the level-i base coordinate un-vanishes, by
+    cases on the slot and the component's levels; shares no code with the
+    library's segment contraction (``hilb.collapse_point``)."""
+    if p[0] == "Y":
+        return p
+    if p[0] == "E":
+        _, e, k = p
+        if i == 1:
+            return ("Y", structure.distinguished[e]) if k == 1 else ("E", e, k - 1)
+        if i == c:
+            return ("Y", structure.far_end[e]) if k == c - 1 else ("E", e, k)
+        if k <= i - 2:
+            return ("E", e, k)
+        if k in (i - 1, i):
+            return ("E", e, i - 1)
+        return ("E", e, k - 1)
+    _, t, j, k = p
+    edges = structure.role_edges[t]
+    if i == 1:
+        if j == 1:
+            return ("E", edges["ST"], k - 1)
+        return ("B", t, j - 1, k - 1)
+    if i == c:
+        if k == c - 1:
+            return ("E", edges["FT"], j)
+        return ("B", t, j, k)
+    if (j, k) == (i - 1, i):
+        return ("E", edges["FS"], i - 1)
+
+    def merged(level: int) -> int:
+        return level if level <= i - 1 else level - 1
+
+    return ("B", t, merged(j), merged(k))
+
+
 def key_per_facet_cells(model, m: int) -> list[Cell]:
     """Cells of the dual complex with every key formatted where it is used:
     each stable type's key for its own cell, and each facet's key again,
-    from its own collapse_point calls, for every face entry."""
+    from its own case_collapse_point calls, for every face entry."""
 
     def key(cfg):
         return f"c{cfg.codim}:" + " + ".join(point_str(p) for p in cfg.points)
@@ -198,7 +233,7 @@ def key_per_facet_cells(model, m: int) -> list[Cell]:
         return [
             make_config(
                 cfg.codim - 1,
-                (collapse_point(p, i, cfg.codim, structure) for p in cfg.points),
+                (case_collapse_point(p, i, cfg.codim, structure) for p in cfg.points),
             )
             for i in range(1, cfg.codim + 1)
         ]

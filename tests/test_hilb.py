@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from degex import hilb
@@ -11,13 +14,16 @@ from degex.complexes import (
     h1_torsion,
     validate,
 )
+from degex.expansion import edge_roles, subdivide
 from degex.hilb import (
     REFERENCE_CP2_10_VERTEX,
     EnumerationMismatch,
     all_stable,
     build_pi,
     classify_config,
+    collapse_point,
     compare_with_reference,
+    components_at_codim,
     enumerate_cases,
     homology_report,
     make_config,
@@ -27,6 +33,7 @@ from degex.models import cube_model, get_model, quartic_model
 
 from oracles import (
     brute_force_stable,
+    case_collapse_point,
     face_relation_signature,
     key_per_facet_cells,
     stable_type_count,
@@ -161,6 +168,89 @@ def test_cells_match_the_key_per_facet_construction(model, m):
     ]
 
 
+@pytest.mark.parametrize("model", ["quartic", "cube"])
+def test_collapse_point_matches_the_case_analysis(model):
+    structure = structure_for(get_model(model))
+    for c in range(2, 9):
+        for p in components_at_codim(structure, c):
+            for i in range(1, c + 1):
+                assert collapse_point(p, i, c, structure) == case_collapse_point(
+                    p, i, c, structure
+                ), (p, i, c)
+
+
+@pytest.mark.parametrize("model", ["quartic", "cube"])
+def test_collapse_maps_satisfy_the_simplicial_identities(model):
+    # d_i d_j = d_{j-1} d_i for i < j, on every component at c = 3..9
+    structure = structure_for(get_model(model))
+
+    def d(i, p, c):
+        return collapse_point(p, i, c, structure)
+
+    for c in range(3, 10):
+        for p in components_at_codim(structure, c):
+            for i, j in combinations(range(1, c + 1), 2):
+                assert d(i, d(j, p, c), c - 1) == d(j - 1, d(i, p, c), c - 1), (p, i, j, c)
+
+
+def _chord_coordinates(E) -> dict:
+    """(triangle, (u, w)) -> id of every non-centre 0-cell of E, where u and
+    w are the positions along F-S, from S, at which the chords parallel to
+    S-T and to F-T through the cell start.  The S-T side is the chord u = 0
+    and the F-T side the chord w = 1."""
+    P = (0,) + E.positions + (1,)
+    cells = {}
+    for tri in E.model.triangles:
+        F, S, T = E.assignment.roles(tri)
+        cells.update({(tri, (0, 0)): f"v:{S}", (tri, (1, 1)): f"v:{F}", (tri, (0, 1)): f"v:{T}"})
+        for role, (e, dist) in edge_roles(E.assignment, tri).items():
+            for node in E.edge_nodes:
+                if node.edge == e:
+                    p = node.position if dist == e[0] else 1 - node.position
+                    cells[tri, {"FS": (p, p), "ST": (0, p), "FT": (p, 1)}[role]] = node.cell_id
+    for box in E.boxes:
+        j, k = box.levels
+        cells[box.triangle, (P[j], P[k])] = box.cell_id
+    return cells
+
+
+def _components(E) -> dict:
+    """Cell id -> Hilbert-scheme component of every non-centre 0-cell of E."""
+    comps = {f"v:{v}": ("Y", v) for v in E.model.vertices}
+    for node in E.edge_nodes:
+        (level,) = set(node.levels.values())
+        comps[node.cell_id] = ("E", node.edge, level)
+    for box in E.boxes:
+        comps[box.cell_id] = ("B", box.triangle, *box.levels)
+    return comps
+
+
+@pytest.mark.parametrize("model", ["quartic", "cube"])
+def test_face_maps_contract_a_segment_of_the_subdivision(model):
+    # the components of codimension n+1 are the non-centre 0-cells of the
+    # depth-n subdivision; slot i contracts segment t_i, from P_{i-1} to P_i
+    # (P_0 = 0 and P_{n+1} = 1), onto the endpoint that stays a node, so
+    # P_min(i, n) is dropped and the image is read off by position
+    surface = get_model(model)
+    structure = structure_for(surface)
+    for n in range(1, 5):
+        P = tuple(Fraction(k * k, (n + 1) ** 2 + 1) for k in range(1, n + 1))
+        E = subdivide(surface, structure.assignment, n, P)
+        cells, comps = _chord_coordinates(E), _components(E)
+        assert len(cells) == len(surface.triangles) * (n + 2) * (n + 3) // 2
+        assert sorted(set(comps.values())) == components_at_codim(structure, n + 1)
+        ends = (0,) + P + (1,)
+        for i in range(1, n + 2):
+            lo, hi = ends[i - 1], ends[i]
+            drop, keep = (hi, lo) if i <= n else (lo, hi)
+            move = {drop: keep}
+            E2 = subdivide(surface, structure.assignment, n - 1, [p for p in P if p != drop])
+            cells2, comps2 = _chord_coordinates(E2), _components(E2)
+            for (tri, (u, w)), cid in cells.items():
+                image = cells2[tri, (move.get(u, u), move.get(w, w))]
+                assert collapse_point(comps[cid], i, n + 1, structure) == comps2[image]
+
+
 def test_a_census_mismatch_lists_the_sorted_keys_per_family(monkeypatch):
     model = quartic_model()
     classify = hilb.classify_config
@@ -276,6 +366,18 @@ def test_compare_with_reference_cube_flags():
 def test_compare_with_reference_m1():
     rep = compare_with_reference((4, 6, 4), "quartic", m=1)
     assert rep["matches_reference"] and rep["flags"] == []
+
+
+def test_compare_with_reference_targets_the_euler_characteristic_of_cp_m():
+    # chi(CP^m) = m + 1; the CP^2 counts are no reference for Hilb^3
+    for m, fv in ((1, (4, 6, 5)), (2, (10, 45, 110, 120, 49))):
+        rep = compare_with_reference(fv, "quartic", m=m)
+        assert rep["flags"][-1] == f"computed alternating sum {m + 2} differs from target {m + 1}"
+    fv3 = (20, 200, 1120, 3160, 4624, 3360, 960)  # Hilb^3 of the quartic
+    assert euler_of_counts(fv3) == 4
+    for model in ("quartic", "cube"):
+        with pytest.raises(ValueError, match="no reference f-vector for m=3"):
+            compare_with_reference(fv3, model, m=3)
 
 
 def test_symmetry_equivariance_on_cube():
