@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-RETRY_BOUND = 64
-
 Pair = tuple[Fraction, Fraction]
 Monomial = tuple[Fraction, ...]
 Relation = tuple[Monomial, Monomial]
@@ -62,12 +60,13 @@ class TorusElement:
         return TorusElement(tuple(a * b for a, b in zip(self.taus, other.taus)))
 
 
+# a/b for every nonzero a in -9..9 and b in 1..9, repeats kept, so that a
+# uniform draw picks each pair (a, b) with probability 1/162
+NONZERO_RATIONALS = tuple(Fraction(a, b) for a in range(-9, 10) if a for b in range(1, 10))
+
+
 def _nonzero_rational(rng: random.Random) -> Fraction:
-    for _ in range(RETRY_BOUND):
-        num = rng.randint(-9, 9)
-        if num != 0:
-            return Fraction(num, rng.randint(1, 9))
-    raise RuntimeError("exceeded retry bound while drawing a nonzero rational")
+    return rng.choice(NONZERO_RATIONALS)
 
 
 def sample_chart_point(n: int, seed: int, rng: random.Random | None = None) -> ChartPoint:

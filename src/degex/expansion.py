@@ -15,21 +15,26 @@ triangles glue along a shared edge exactly when they induce the same node
 positions and the same symbol sequence there, i.e. the same distinguished
 endpoint.
 
-Realization is combinatorial, on the level grid of each triangle.  Grid
-point (a, b), 0 <= a <= b <= n+1, is where the level-a chord parallel to S-T
-meets the level-b chord parallel to F-T (levels 0 and n+1 being the sides
-themselves).  `grid_side` is the one classifier of grid points, used by
-`subdivide` and by the Hilbert-square face maps: the point lies on the F-S
-edge when a = b, on the S-T edge when a = 0, on the F-T edge when b = n+1,
-and is otherwise the corner box (a, b).  Level k of an edge is its k-th
-point from the distinguished endpoint; a node that only the neighbouring
-triangle places on a shared edge is a foreign point and sits between two
-consecutive levels.  Grid region (i, j), 0 <= i <= j <= n, is a triangle
-along F-S when i = j and a quadrilateral otherwise, with the foreign points
-inserted along its sides on the base edges.  Regions are recorded as
-polygonal vertex cycles; the delta-complex view star triangulates every
-region from an auxiliary center vertex, which preserves the closed-surface
-invariants.
+Realization is combinatorial.  Each side of an edge, that is the edge as
+one adjacent triangle sees it, has one level list: level k sits at P_k from
+the side's distinguished endpoint, levels 0 and n+1 being the endpoints
+(`edge_sides` is the one place that collects the distinguished endpoints).
+The node census, each node's levels and the segment symbols derive from the
+level lists: segment t_l runs from level l-1 to level l.  A node that only
+the neighbouring triangle places on a shared edge is a foreign point and
+sits between two consecutive levels.  Grid point (a, b), 0 <= a <= b <= n+1,
+is where the level-a chord parallel to S-T meets the level-b chord parallel
+to F-T (levels 0 and n+1 being the sides themselves).  `grid_side` is the
+one classifier of grid points, used by `subdivide` and by the Hilbert-square
+face maps: the point lies on the F-S edge when a = b, on the S-T edge when
+a = 0, on the F-T edge when b = n+1, and is otherwise the corner box (a, b).
+Grid region (i, j), 0 <= i <= j <= n, is a triangle along F-S when i = j
+and a quadrilateral otherwise, with the foreign points inserted along its
+sides on the base edges.  Regions are recorded as polygonal vertex cycles;
+the delta-complex view star triangulates every region from an auxiliary
+center vertex, which preserves the closed-surface invariants.  Its 1-cells
+are the sides of the region cycles (chord pieces and atomic segments of the
+base edges) and the spokes to the centers, each made once.
 """
 from __future__ import annotations
 
@@ -81,6 +86,16 @@ def edge_roles(assignment: BlowupAssignment, tri) -> dict[str, tuple[Pair, str]]
     endpoint: S on the F-S and S-T edges, T on the F-T edge."""
     F, S, T = assignment.roles(tri)
     return {"FS": (edge_key(F, S), S), "ST": (edge_key(S, T), S), "FT": (edge_key(F, T), T)}
+
+
+def edge_sides(model: SurfaceModel, assignment: BlowupAssignment) -> dict:
+    """{edge: {triangle: distinguished endpoint}}: what each adjacent
+    triangle reads the edge's levels from."""
+    sides: dict = {}
+    for tri in model.triangles:
+        for e, dist in edge_roles(assignment, tri).values():
+            sides.setdefault(e, {})[tri] = dist
+    return sides
 
 
 def grid_side(a: int, b: int, n: int) -> tuple[str, int] | None:
@@ -290,47 +305,73 @@ def subdivide(
             model, assignment, 0, P, model.sphere, regions, [], [], {}, {}, {}
         )
 
-    # ---- per-edge censuses induced by each adjacent triangle --------------
-    edge_census: dict = {}
-    distinguished: dict = {}
-    for tri in model.triangles:
-        for e, dist in edge_roles(assignment, tri).values():
-            # the level-k node, P_k from the distinguished endpoint, at its
-            # position from the edge's first endpoint u
-            u, _w = e
-            census = tuple(
-                ((P[k - 1] if dist == u else 1 - P[k - 1]), k) for k in range(1, n + 1)
-            )
-            census = tuple(sorted(census))
-            edge_census.setdefault(e, {})[tri] = census
-            distinguished.setdefault(e, {})[tri] = dist
-
-    # ---- 0-cells ----------------------------------------------------------
     cells: dict[str, Cell] = {}
 
     def add_cell(cell: Cell):
         if cell.id not in cells:
             cells[cell.id] = cell
 
+    def pair_cell(a: str, b: str) -> str:
+        """The 1-cell joining vertices a and b, keyed canonically."""
+        lo, hi = sorted((a, b))
+        eid = f"E[{lo}][{hi}]"
+        if eid not in cells:
+            add_cell(
+                Cell(eid, 1, f"{cells[lo].label} / {cells[hi].label}", ((hi, 1), (lo, -1)))
+            )
+        return eid
+
     for v in model.vertices:
         add_cell(Cell(_vid(v), 0, v))
 
-    node_records: dict[tuple[Pair, Fraction], dict] = {}
-    for e, sides in edge_census.items():
-        for tri, census in sides.items():
-            for pos, level in census:
-                rec = node_records.setdefault((e, pos), {})
-                rec[tri] = level
-    # every point of each base edge, sorted by position from its first endpoint
-    edge_points: dict[Pair, list[tuple[Fraction, str]]] = {
-        e: [(Fraction(0), _vid(e[0]))] for e in model.edges
-    }
+    # ---- one level list per edge side --------------------------------------
+    # level k of a side sits at P_k from its distinguished endpoint (levels 0
+    # and n+1 are the endpoints), at its position from the edge's first
+    # endpoint u; every other list is derived from these
+    distinguished = edge_sides(model, assignment)
+    ladder = (Fraction(0), *P, Fraction(1))
+    reversed_ladder = tuple(1 - pos for pos in ladder)
+    edge_census: dict = {}
     edge_nodes = []
-    for (e, pos), levels in sorted(node_records.items()):
-        nid = f"x:{e[0]}|{e[1]}@{pos}"
-        add_cell(Cell(nid, 0, f"{e[0]}-{e[1]} node at {pos}"))
-        edge_nodes.append(EdgeNode(e, pos, nid, dict(sorted(levels.items()))))
-        edge_points[e].append((pos, nid))
+    colored_segments: dict = {}
+    lines: dict = {}  # (edge, triangle) -> (edge points, index there of each level)
+    for e in sorted(distinguished):
+        sides = {
+            tri: ladder if dist == e[0] else reversed_ladder
+            for tri, dist in distinguished[e].items()
+        }
+        nodes: dict[Fraction, dict] = {}
+        for tri in sorted(sides):
+            for k in range(1, n + 1):
+                nodes.setdefault(sides[tri][k], {})[tri] = k
+        # every point of the edge, sorted by position from u
+        pts = [(Fraction(0), _vid(e[0]))]
+        for pos, levels in sorted(nodes.items()):
+            nid = f"x:{e[0]}|{e[1]}@{pos}"
+            add_cell(Cell(nid, 0, f"{e[0]}-{e[1]} node at {pos}"))
+            edge_nodes.append(EdgeNode(e, pos, nid, levels))
+            pts.append((pos, nid))
+        pts.append((Fraction(1), _vid(e[1])))
+        index = {pos: i for i, (pos, _) in enumerate(pts)}
+        for tri, levels in sides.items():
+            edge_census.setdefault(e, {})[tri] = tuple(sorted(zip(levels[1:-1], range(1, n + 1))))
+            at = [index[pos] for pos in levels]
+            lines[e, tri] = pts, at
+            # segment t_l runs from level l-1 to level l, across any foreign
+            # nodes between them
+            symbols = [0] * (len(pts) - 1)
+            for l in range(1, n + 2):
+                lo, hi = sorted(at[l - 1 : l + 1])
+                symbols[lo:hi] = [l] * (hi - lo)
+            colored_segments.setdefault(e, {})[tri] = tuple(
+                {
+                    "segment": pair_cell(a, b),
+                    "symbol": k,
+                    "color": color_name(k),
+                    "length": str(pb - pa),
+                }
+                for k, (pa, a), (pb, b) in zip(symbols, pts, pts[1:])
+            )
 
     boxes = []
     box_id: dict[tuple[tuple, int, int], str] = {}
@@ -343,56 +384,15 @@ def subdivide(
                 add_cell(Cell(bid, 0, f"box({j},{k}) in {'-'.join(tri)}"))
                 boxes.append(CornerBox(tri, (j, k), bid))
 
-    # ---- 1-cells: all are vertex pairs, keyed canonically ------------------
-    def pair_cell(a: str, b: str) -> str:
-        lo, hi = sorted((a, b))
-        eid = f"E[{lo}][{hi}]"
-        if eid not in cells:
-            add_cell(
-                Cell(eid, 1, f"{cells[lo].label} / {cells[hi].label}", ((hi, 1), (lo, -1)))
-            )
-        return eid
-
-    # atomic segments along each base edge, in the u -> w direction
-    for e, pts in edge_points.items():
-        pts.append((Fraction(1), _vid(e[1])))
-        for (_, a), (_, b) in zip(pts, pts[1:]):
-            pair_cell(a, b)
-
     # ---- per-triangle geometry on the level grid ---------------------------
     regions: list[Region] = []
-    colored_segments: dict = {}
 
     for tri in model.triangles:
-        roles = edge_roles(assignment, tri)
-        # level_index[r][k]: index in edge_points of the level-k point of role edge
-        # r, counted from its distinguished endpoint (level 0) to the far end
-        level_index = {}
-        for r, (e, dist) in roles.items():
-            pts = edge_points[e]
-            own_positions = {pos for pos, _ in edge_census[e][tri]}
-            own = [0] + [i for i, (pos, _) in enumerate(pts) if pos in own_positions]
-            own.append(len(pts) - 1)
-            forward = dist == e[0]  # the levels run in the u -> w direction
-            level_index[r] = own if forward else own[::-1]
-            # symbol of the atomic segment from pts[s] to pts[s + 1]: the
-            # number of this side's levels before it, counted from the
-            # distinguished endpoint (level 0)
-            segs = []
-            for s, ((pa, a), (pb, b)) in enumerate(zip(pts, pts[1:])):
-                k = sum(1 for i in own if (i <= s if forward else i > s))
-                segs.append(
-                    {
-                        "segment": pair_cell(a, b),
-                        "symbol": k,
-                        "color": color_name(k),
-                        "length": str(pb - pa),
-                    }
-                )
-            colored_segments.setdefault(e, {})[tri] = tuple(segs)
+        role_lines = {r: lines[e, tri] for r, (e, _) in edge_roles(assignment, tri).items()}
 
         def side_point(r: str, k: int) -> str:
-            return edge_points[roles[r][0]][level_index[r][k]][1]
+            pts, at = role_lines[r]
+            return pts[at[k]][1]
 
         def point(a: int, b: int) -> str:
             """Vertex id of grid point (a, b)."""
@@ -411,19 +411,10 @@ def subdivide(
                 r, lp, lq = "FS", p[0], q[0]
             else:
                 return []
-            ip, iq = level_index[r][lp], level_index[r][lq]
-            run = edge_points[roles[r][0]][min(ip, iq) + 1 : max(ip, iq)]
+            pts, at = role_lines[r]
+            ip, iq = at[lp], at[lq]
+            run = pts[min(ip, iq) + 1 : max(ip, iq)]
             return [vid for _, vid in (run if ip < iq else reversed(run))]
-
-        # chord j parallel to S-T runs from (j, j) on F-S through the boxes
-        # (j, k) to (j, n+1) on F-T; chord k parallel to F-T runs from (k, k)
-        # through the boxes (j, k) to (0, k) on S-T
-        for j in range(1, n + 1):
-            for b in range(j, n + 1):
-                pair_cell(point(j, b), point(j, b + 1))
-        for k in range(1, n + 1):
-            for a in range(k, 0, -1):
-                pair_cell(point(a, k), point(a - 1, k))
 
         # grid regions (i, j) with 0 <= i <= j <= n
         for i in range(0, n + 1):

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement, zip_longest
 
 from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector, validate
-from .expansion import BlowupAssignment, edge_roles, get_assignment, grid_side
+from .expansion import BlowupAssignment, edge_roles, edge_sides, get_assignment, grid_side
 from .models import SurfaceModel, get_model
 
 # f-vector of the known 10-vertex simplicial triangulation of CP^2; the
@@ -62,19 +62,19 @@ class ExpansionStructure:
         self.assignment = assignment
         self.distinguished: dict = {}
         self.far_end: dict = {}
-        self.role_edges: dict = {}
-        for tri in model.triangles:
-            roles = edge_roles(assignment, tri)
-            self.role_edges[tri] = {role: e for role, (e, _) in roles.items()}
-            for e, dist in roles.values():
-                prev = self.distinguished.get(e)
-                if prev is not None and prev != dist:
-                    raise ValueError(
-                        f"assignment does not glue on {e}; build the complex "
-                        "with a gluing assignment"
-                    )
-                self.distinguished[e] = dist
-                self.far_end[e] = e[0] if e[1] == dist else e[1]
+        for e, sides in sorted(edge_sides(model, assignment).items()):
+            dist, *others = set(sides.values())
+            if others:
+                raise ValueError(
+                    f"assignment does not glue on {e}; build the complex "
+                    "with a gluing assignment"
+                )
+            self.distinguished[e] = dist
+            self.far_end[e] = e[0] if e[1] == dist else e[1]
+        self.role_edges = {
+            tri: {role: e for role, (e, _) in edge_roles(assignment, tri).items()}
+            for tri in model.triangles
+        }
 
 
 def structure_for(model: SurfaceModel) -> ExpansionStructure:

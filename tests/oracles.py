@@ -293,3 +293,57 @@ def chart_equation_residuals(p: ChartPoint) -> dict[str, Fraction]:
 def product_identity_residual(p: ChartPoint) -> Fraction:
     """x y z - t_1...t_{n+1} in Fraction arithmetic."""
     return p.x * p.y * p.z - prod(p.t, start=Fraction(1))
+
+
+def interior_walls(cert, tau: Fraction):
+    """(region, region, wall endpoints) for the two interior walls of a face
+    certificate's expected regions."""
+    pts = cert.marked_points(tau)
+    return (
+        ("quad-third", "corner-first", (pts["node"], pts["cut_F"])),
+        ("quad-third", "corner-second", (pts["node"], pts["cut_S"])),
+    )
+
+
+def wall_failures(cert, tau: Fraction, matching: dict) -> list:
+    """Failures of the interior-wall conditions, given the region -> piece
+    `matching` of a certificate: across each interior wall the two adjacent
+    pieces agree at the wall midpoint, where they are minimal, and each wins
+    strictly at its own region's barycenter.  `check_strict_convexity`
+    implies them by concavity of the minimum; this checks them directly."""
+    tau = Fraction(tau)
+    regions = cert.expected_regions(tau)
+    failures = []
+
+    def values(pt):
+        c, q = pt
+        assert 0 <= q <= c <= 1, "sample left the face"
+        return [p.value(c, q, tau) for p in cert.pieces]
+
+    if len(matching) == len(regions) and not failures:
+        for r1, r2, (a, b) in interior_walls(cert, tau):
+            i, j = matching[r1], matching[r2]
+            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+            vals = values(mid)
+            if not (vals[i] == vals[j] == min(vals)):
+                failures.append(
+                    {
+                        "kind": "wall agreement failed",
+                        "wall": [r1, r2],
+                        "point": [str(mid[0]), str(mid[1])],
+                    }
+                )
+                continue
+            # strictness: each piece wins strictly on its own side
+            for rname, own, other in ((r1, i, j), (r2, j, i)):
+                region = next(r for r in regions if r.name == rname)
+                vals_b = values(region.barycenter())
+                if not vals_b[own] < vals_b[other]:
+                    failures.append(
+                        {
+                            "kind": "strictness failed",
+                            "wall": [r1, r2],
+                            "region": rname,
+                        }
+                    )
+    return failures

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -99,6 +101,20 @@ def test_sampled_towers_match_their_definition():
             for k in range(1, n + 1):
                 assert pairs_proportional(p.xs[k - 1], (p.x, prod(p.t[:k])))
                 assert pairs_proportional(p.ys[k - 1], (p.y, prod(p.t[n + 1 - k :])))
+
+
+def test_nonzero_rationals_are_every_quotient_a_over_b():
+    # drawing uniformly from the table picks each pair (a, b), a nonzero in
+    # -9..9 and b in 1..9, with probability 1/162
+    table = Counter(charts.NONZERO_RATIONALS)
+    assert len(charts.NONZERO_RATIONALS) == 162
+    assert table == Counter(
+        Fraction(a, b) for a, b in product(range(-9, 10), range(1, 10)) if a != 0
+    )
+    assert 0 not in table
+    assert table[Fraction(1)] == table[Fraction(-1)] == 9
+    assert table[Fraction(2, 3)] == 3
+    assert table[Fraction(1, 9)] == 1
 
 
 def test_sampling_deterministic_per_seed():

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,35 @@ from degex.expansion import default_quartic_assignment
 from degex.projectivity import builtin_certificates, certificates_to_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# sha256 of the stdout of every README command and of the files they write;
+# any change to a report or an export shows here
+README_SHA256 = {
+    "degex model quartic": "5720b415be7dfd8709f56ed65021528f7d428aa75f4d2bbb7d615a0b742acb4c",
+    "degex label3 cube": "a44e6df44b0eb2ab3ba403ca4529412006ac7c671ba6636974a5be0ed020c880",
+    "degex expand quartic --n 1 --assignment default":
+        "9b33287da8851733993d794a2c35f4709b3253224f3a62b9be27e7452f14f18c",
+    "degex expand quartic --n 2 --assignment @my_assignment.json --params 1/3,2/3":
+        "8bfa6e5e89278c4a89baffd067e7b0a9d1b3c1c244edad2e8a037762aa952ce1",
+    "degex expand cube --n 1 --assignment labeling":
+        "6c39d56277208adbcba738488e16e977e7c20b194924e58e8df73806850b0608",
+    "degex certify-projectivity --tau 1/2 --all-edges":
+        "3e87d1d63f8203c0344d36575d78fa2a19375c37718990736883bcd8be6d558f",
+    "degex charts verify --n 2 --samples 1000 --seed 7":
+        "8d0e0c9df22c4cbe1ac67ef09a514fee607b58713a3dd6ae40e980a295bb4b27",
+    "degex hilb count quartic": "62db257461e8975d11b55774a9117c8266b1fc01b980906ada220407b6650ba2",
+    "degex hilb count cube": "12490fb1135686409671708acd27b82439a58b5d5294c037b2cde256b99a0f68",
+    "degex hilb count quartic --m 1":
+        "6ff7a53c09006a13f0c584462a7536c54901d5680ca3591f22c8e0ad23e1ac50",
+    "degex hilb homology quartic":
+        "483982a7da525967a75fcafe65bd26390410a93e7e7a449a1c9e8b3a9c8b1e8a",
+    "degex export pi-quartic --format json -o pi_quartic.json":
+        "803ff269bcf4e9772a8e38e9c66f47d9aafc1069efccaa2d00ce7e0066ffd9b9",
+    "degex export quartic --format dot -o tetra.dot":
+        "1b43657de9ba65d9ea8f76fdd464ea33810064f72da304b11dcadf06163517f5",
+    "pi_quartic.json": "aefc850f334fcc9d1af8ceed3900099d92ff2b2a1d553a0b1552d1ae087e5f5d",
+    "tetra.dot": "19b2554e1108759817406939f9260a92d154c28080a170bb47d97d1031db28cb",
+}
 
 
 def invoke(argv, capsys):
@@ -333,9 +363,15 @@ def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
     (tmp_path / "my_assignment.json").write_text(json.dumps(assignment))
     lines = [line for line in README.read_text().splitlines() if line.startswith("degex ")]
     assert lines
+    digests = {}
     for line in lines:
         command, _, comment = line.partition("#")
         documented = re.search(r"exits (\d)", comment)
         expected = int(documented.group(1)) if documented else 0
         assert run(command.split()[1:]) == expected, line
-        json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        json.loads(out)
+        digests[" ".join(command.split())] = sha256(out.encode()).hexdigest()
+    for name in ("pi_quartic.json", "tetra.dot"):
+        digests[name] = sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == README_SHA256

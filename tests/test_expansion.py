@@ -27,6 +27,40 @@ def closed_surface(K):
     return all(counts.get(e.id, 0) == 2 for e in K.cells_of_dim(1))
 
 
+def assert_levels_follow_their_definition(E):
+    """Check every side of every edge against the definitions, from the
+    assignment's roles alone: a node's level k on a side means it sits at
+    P_k from that side's distinguished endpoint (S on F-S and S-T, T on
+    F-T), and an atomic segment's symbol is the number of that side's
+    levels 0..n+1 on the distinguished side of the segment."""
+    n = E.level
+    P = (Fraction(0), *E.positions, Fraction(1))
+    nodes = {e: [] for e in E.model.edges}
+    for node in E.edge_nodes:
+        nodes[node.edge].append(node)
+    for tri in E.model.triangles:
+        F, S, T = E.assignment.roles(tri)
+        for (a, b), dist in (((F, S), S), ((S, T), S), ((F, T), T)):
+            e = tuple(sorted((a, b)))
+            # position of every point of e from its first endpoint
+            at = {f"v:{e[0]}": Fraction(0), f"v:{e[1]}": Fraction(1)}
+            at.update({node.cell_id: node.position for node in nodes[e]})
+
+            def from_dist(vid):
+                return at[vid] if dist == e[0] else 1 - at[vid]
+
+            levels = {node.cell_id: node.levels[tri] for node in nodes[e] if tri in node.levels}
+            assert sorted(levels.values()) == list(range(1, n + 1))
+            for vid, k in levels.items():
+                assert from_dist(vid) == P[k]
+            segments = E.colored_segments[e][tri]
+            assert len(segments) == len(at) - 1
+            for seg in segments:
+                ends = [fid for fid, _ in E.cells[seg["segment"]].faces]
+                near = min(from_dist(vid) for vid in ends)
+                assert seg["symbol"] == sum(1 for p in P if p <= near)
+
+
 def test_default_assignment_pairs():
     a = default_quartic_assignment()
     assert a.pairs[("Y1", "Y2", "Y3")] == ("Y1", "Y2")
@@ -197,10 +231,21 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
         # regions must take them into their boundary cycles
         E = subdivide(m, assignment, 2, positions=[Fraction(1, 5), Fraction(1, 2)])
         with_foreign_nodes += any(len(node.levels) == 1 for node in E.edge_nodes)
+        assert_levels_follow_their_definition(E)
         assert validate(E.cells) == []
         assert closed_surface(E.cells)
         assert euler_characteristic(E.cells) == 2
     assert with_foreign_nodes == 1272
+
+
+def test_cube_levels_follow_their_definition_at_random_positions():
+    m = cube_model()
+    a = labeling_assignment(m, find_3_labeling(m))
+    rng = random.Random(15)
+    for n in range(1, 5):
+        for _ in range(5):
+            positions = sorted(Fraction(p, 100) for p in rng.sample(range(1, 100), n))
+            assert_levels_follow_their_definition(subdivide(m, a, n, positions))
 
 
 def flipped_corner_assignment():

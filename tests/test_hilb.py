@@ -14,10 +14,11 @@ from degex.complexes import (
     h1_torsion,
     validate,
 )
-from degex.expansion import edge_roles, subdivide
+from degex.expansion import bad_quartic_assignment, edge_roles, subdivide
 from degex.hilb import (
     REFERENCE_CP2_10_VERTEX,
     EnumerationMismatch,
+    ExpansionStructure,
     all_stable,
     build_pi,
     classify_config,
@@ -46,6 +47,24 @@ QUARTIC_BREAKDOWNS = {
     3: (48, 72),
     4: (12, 36),
 }
+
+
+@pytest.mark.parametrize("model", ["quartic", "cube"])
+def test_structure_reads_every_edge_from_its_distinguished_endpoint(model):
+    s = structure_for(get_model(model))
+    for tri in s.model.triangles:
+        F, S, T = s.assignment.roles(tri)
+        for (a, b), dist in (((F, S), S), ((S, T), S), ((F, T), T)):
+            e = tuple(sorted((a, b)))
+            assert s.distinguished[e] == dist
+            assert s.far_end[e] == (a if dist == b else b)
+    assert len(s.distinguished) == len(s.model.edges)
+
+
+def test_a_structure_needs_a_gluing_assignment():
+    # the named edge is the first one check_gluing reports
+    with pytest.raises(ValueError, match=r"does not glue on \('Y1', 'Y4'\)"):
+        ExpansionStructure(quartic_model(), bad_quartic_assignment())
 
 
 def test_quartic_case_breakdowns_match_proof():

