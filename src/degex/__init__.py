@@ -18,5 +18,5 @@ def parse_fraction(text) -> Rational:
         return Rational(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-    except TypeError:
+    except (TypeError, OverflowError):
         raise ValueError(f"not a fraction: {text!r}") from None

@@ -110,22 +110,15 @@ def grid_side(a: int, b: int, n: int) -> tuple[str, int] | None:
     return None
 
 
-def default_quartic_assignment() -> BlowupAssignment:
-    """The four ordered pairs that glue on the tetrahedron.
-
-    In the corner opposite Y4 (and opposite Y3) the pair is (Y1, Y2); in the
-    corner opposite Y2 it is (Y1, Y3); in the corner opposite Y1, Y2 is blown
-    up along the second parameter and Y4 along the first, normalized here to
-    the first-parameter-first ordering (Y4, Y2).
-    """
-    return BlowupAssignment(
-        {
-            ("Y1", "Y2", "Y3"): ("Y1", "Y2"),
-            ("Y1", "Y2", "Y4"): ("Y1", "Y2"),
-            ("Y1", "Y3", "Y4"): ("Y1", "Y3"),
-            ("Y2", "Y3", "Y4"): ("Y4", "Y2"),
-        }
-    )
+def assignment_from_order(model: SurfaceModel, order) -> BlowupAssignment:
+    """In each triangle, first is the corner earliest in `order` and second the
+    latest, so every edge's distinguished endpoint is its later vertex."""
+    rank = {v: i for i, v in enumerate(order)}
+    pairs = {}
+    for tri in model.triangles:
+        ranked = sorted(tri, key=rank.__getitem__)
+        pairs[tri] = (ranked[0], ranked[-1])
+    return BlowupAssignment(pairs)
 
 
 def bad_quartic_assignment() -> BlowupAssignment:
@@ -140,17 +133,10 @@ def bad_quartic_assignment() -> BlowupAssignment:
     )
 
 
-def labeling_assignment(model: SurfaceModel, labeling: dict[str, int]) -> BlowupAssignment:
-    """first = the label-1 corner, second = the label-2 corner, per triangle."""
-    from .models import labeling_is_valid
-
-    if not labeling_is_valid(model, labeling):
-        raise ValueError("labeling is not a valid 3-labeling for this model")
-    pairs = {}
-    for tri in model.triangles:
-        by_label = {labeling[v]: v for v in tri}
-        pairs[tri] = (by_label[1], by_label[2])
-    return BlowupAssignment(pairs)
+# the built-in assignments as vertex orders: the quartic's, and the order of
+# the labels of a 3-labeling (first = the label-1 corner, second = label 2)
+QUARTIC_ORDER = ("Y1", "Y4", "Y3", "Y2")
+LABEL_ORDER = (1, 3, 2)
 
 
 def get_assignment(model: SurfaceModel, kind: str) -> BlowupAssignment:
@@ -159,12 +145,14 @@ def get_assignment(model: SurfaceModel, kind: str) -> BlowupAssignment:
     if kind == "default":
         if model.name != "quartic":
             raise ValueError("the default assignment is defined for the quartic model")
-        return default_quartic_assignment()
+        return assignment_from_order(model, QUARTIC_ORDER)
     if kind == "labeling":
         labeling = find_3_labeling(model)
         if labeling is None:
             raise ValueError(f"model {model.name} admits no 3-labeling")
-        return labeling_assignment(model, labeling)
+        return assignment_from_order(
+            model, sorted(labeling, key=lambda v: LABEL_ORDER.index(labeling[v]))
+        )
     raise ValueError(f"unknown assignment kind: {kind}")
 
 

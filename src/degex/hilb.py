@@ -20,20 +20,21 @@ i < j, so the alternating-sign boundary squares to zero.
 
 The complex is built from one concept: every stable type is a cell, its
 faces are given by the facet maps, and validation proves every facet is
-itself a stable type and that the boundary squares to zero.  Each stable
-type's label and key are formatted once, lowest codimension first; the
-collapse maps are tabulated once per codimension and slot over the
-components, and a facet finds its id among the keys of the level below.  A
-facet that is not a stable type keeps its own canonical key, which
-validation reports as a dangling face.  The case-family counts (orbit
-counting over the model strata, one named family per proof case) are an
-independent census of the same cells; the two must agree family by family,
-and a mismatch is a hard failure whose report lists the keys per family.
+itself a stable type and that the boundary squares to zero.  A stable type
+is the sorted tuple of its components, as `all_stable` generates it; its
+base codimension is the level it sits on.  Keys are formatted once per
+level, lowest codimension first; the collapse maps are tabulated once per
+codimension and slot over the components, and a facet, sorted, finds its id
+among the keys of the level below.  A facet that is not a stable type keeps
+its own key, which validation reports as a dangling face.  The case-family
+counts (orbit counting over the model strata, one named family per proof
+case) are an independent census of the same cells; the two must agree
+family by family, and a mismatch is a hard failure whose report lists the
+keys per family.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, combinations_with_replacement, zip_longest
 
 from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector, validate
@@ -83,25 +84,16 @@ def structure_for(model: SurfaceModel) -> ExpansionStructure:
 
 
 # ---------------------------------------------------------------------------
-# configuration types
+# stable types: sorted tuples of components
 
 
-@dataclass(frozen=True, order=True)
-class ConfigType:
-    codim: int
-    points: tuple
-
-    @cached_property
-    def label(self) -> str:
-        return " + ".join(point_str(p) for p in self.points)
-
-    @property
-    def canonical_key(self) -> str:
-        return f"c{self.codim}:" + self.label
+def type_label(points) -> str:
+    return " + ".join(point_str(p) for p in points)
 
 
-def make_config(codim: int, points) -> ConfigType:
-    return ConfigType(codim, tuple(sorted(points)))
+def type_key(c: int, points) -> str:
+    """Cell id of the type with these sorted points at base codimension c."""
+    return f"c{c}:" + type_label(points)
 
 
 def point_str(p) -> str:
@@ -138,10 +130,11 @@ def is_stable(points, c: int) -> bool:
     return occupied == frozenset(range(1, c))
 
 
-def all_stable(structure: ExpansionStructure, c: int, m: int = 2) -> list[ConfigType]:
+def all_stable(structure: ExpansionStructure, c: int, m: int = 2) -> list[tuple]:
     """Stable m-point types of codimension c, in combinations_with_replacement
     order over components_at_codim: each point takes a component index at or
-    after the previous point's, and is_stable is the test at the leaf."""
+    after the previous point's, so every type comes out once and already
+    sorted, and is_stable is the test at the leaf."""
     comps = components_at_codim(structure, c)
     levels = [point_levels(p) for p in comps]
     out = []
@@ -152,7 +145,7 @@ def all_stable(structure: ExpansionStructure, c: int, m: int = 2) -> list[Config
             return
         if not left:
             if is_stable(chosen, c):
-                out.append(make_config(c, chosen))
+                out.append(chosen)
             return
         for i in range(start, len(comps)):
             extend(i, chosen + (comps[i],), covered | levels[i])
@@ -332,13 +325,13 @@ def enumerate_cases(model: SurfaceModel, k: int) -> CaseBreakdown:
     return CaseBreakdown(k, cases)
 
 
-def classify_config(cfg: ConfigType, model: SurfaceModel) -> str:
-    """Family of a stable type, in the case-family taxonomy."""
+def classify_config(c: int, points, model: SurfaceModel) -> str:
+    """Family of the stable type `points` of codimension c, in the case-family
+    taxonomy."""
     base = {"Y": 0, "E": 0, "B": 0}
-    for p in cfg.points:
+    for p in points:
         base[p[0]] += 1
-    c = cfg.codim
-    p1, p2 = cfg.points
+    p1, p2 = points
     if c == 1:
         return "two points in component interiors"
     if c == 2:
@@ -379,7 +372,7 @@ def classify_config(cfg: ConfigType, model: SurfaceModel) -> str:
             if p1[1] == p2[1]
             else "ordered splittings of two corners"
         )
-    raise ValueError(f"unclassifiable configuration {cfg.canonical_key}")
+    raise ValueError(f"unclassifiable configuration {type_key(c, points)}")
 
 
 # ---------------------------------------------------------------------------
@@ -403,46 +396,48 @@ def build_pi(model: SurfaceModel, m: int = 2):
     """
     structure = structure_for(model)
     levels = []
-    while cfgs := all_stable(structure, len(levels) + 1, m):
-        levels.append(cfgs)
+    while types := all_stable(structure, len(levels) + 1, m):
+        levels.append(types)
 
     breakdowns = []
     if m == 2:
-        for k, cfgs in enumerate(levels):
+        for k, types in enumerate(levels):
             breakdown = enumerate_cases(model, k)
             expected = dict(breakdown.cases)
-            got: dict[str, list[ConfigType]] = {}
-            for cfg in cfgs:
-                got.setdefault(classify_config(cfg, model), []).append(cfg)
-            if expected != {fam: len(cs) for fam, cs in got.items()}:
+            got: dict[str, list[tuple]] = {}
+            for points in types:
+                got.setdefault(classify_config(k + 1, points, model), []).append(points)
+            if expected != {fam: len(ts) for fam, ts in got.items()}:
                 raise EnumerationMismatch(
                     f"case census and stable types disagree at dimension {k}",
                     {
                         "dimension": k,
                         "case_counts": expected,
                         "stable_type_counts": {
-                            fam: sorted(cfg.canonical_key for cfg in cs)
-                            for fam, cs in got.items()
+                            fam: sorted(type_key(k + 1, points) for points in ts)
+                            for fam, ts in got.items()
                         },
                     },
                 )
             breakdowns.append(breakdown)
 
-    # every facet of a stable type is looked up among the keys of the level
-    # below; one that is not a stable type keeps its own key, which
-    # validate reports as a dangling face id
-    keys: dict[ConfigType, str] = {}
+    # every facet of a stable type, sorted, is looked up among the keys of
+    # the level below; one that is not a stable type keeps its own key,
+    # which validate reports as a dangling face id
+    below: dict[tuple, str] = {}
     cells = []
-    for k, cfgs in enumerate(levels):
+    for k, types in enumerate(levels):
         # vertices have no facet slots
         slots = list(enumerate(collapse_tables(structure, k + 1))) if k else []
-        for cfg in cfgs:
+        keys = {}
+        for points in types:
             faces = []
             for i, table in slots:
-                f = make_config(k, [table[p] for p in cfg.points])
-                faces.append((keys.get(f) or f.canonical_key, (-1) ** i))
-            key = keys[cfg] = cfg.canonical_key
-            cells.append(Cell(key, k, cfg.label, tuple(faces)))
+                facet = tuple(sorted(table[p] for p in points))
+                faces.append((below.get(facet) or type_key(k, facet), (-1) ** i))
+            key = keys[points] = type_key(k + 1, points)
+            cells.append(Cell(key, k, type_label(points), tuple(faces)))
+        below = keys
     K = DeltaComplex(cells)
     problems = validate(K)
     if problems:

@@ -129,17 +129,6 @@ def get_model(name: str) -> SurfaceModel:
     raise ValueError(f"unknown model: {name}")
 
 
-def labeling_is_valid(model: SurfaceModel, labeling: Labeling3) -> bool:
-    """Every triangle must see each of the labels 1, 2, 3 exactly once."""
-    if set(labeling) != set(model.vertices):
-        return False
-    if not all(labeling[v] in (1, 2, 3) for v in labeling):
-        return False
-    return all(
-        sorted(labeling[v] for v in tri) == [1, 2, 3] for tri in model.triangles
-    )
-
-
 def find_3_labeling(model: SurfaceModel) -> Labeling3 | None:
     """Lexicographically least labeling of the vertices by {1,2,3}, if any.
 

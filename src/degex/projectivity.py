@@ -130,8 +130,12 @@ def certificate_from_json_obj(obj: dict) -> FaceCertificate:
         for p in _field(obj, "pieces", "face certificate", list)
     )
     roles = _field(obj, "roles", "face certificate", list)
-    if len(roles) != 3 or not all(isinstance(r, str) and r in corners for r in roles):
-        raise ValueError("face certificate field 'roles' must name three of its corners")
+    if (
+        len(roles) != 3
+        or not all(isinstance(r, str) and r in corners for r in roles)
+        or len(set(roles)) != 3
+    ):
+        raise ValueError("face certificate field 'roles' must name three distinct corners")
     return FaceCertificate(name, corners, tuple(roles), pieces)
 
 

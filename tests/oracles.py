@@ -10,14 +10,7 @@ from sympy.polys.matrices.normalforms import invariant_factors
 
 from degex.charts import ChartPoint
 from degex.complexes import Cell, DeltaComplex, boundary_matrix, f_vector
-from degex.hilb import (
-    all_stable,
-    components_at_codim,
-    is_stable,
-    make_config,
-    point_str,
-    structure_for,
-)
+from degex.hilb import all_stable, components_at_codim, is_stable, point_str, structure_for
 from degex.linalg import IntMatrix
 
 
@@ -177,9 +170,10 @@ def elimination_homology(K: DeltaComplex):
 
 
 def brute_force_stable(structure, c: int, m: int):
-    """Every multiset of m components of codimension c, filtered by is_stable."""
+    """Every multiset of m components of codimension c, filtered by
+    is_stable, as sorted tuples."""
     return [
-        make_config(c, pts)
+        tuple(sorted(pts))
         for pts in combinations_with_replacement(components_at_codim(structure, c), m)
         if is_stable(pts, c)
     ]
@@ -224,31 +218,40 @@ def case_collapse_point(p, i: int, c: int, structure):
 def key_per_facet_cells(model, m: int) -> list[Cell]:
     """Cells of the dual complex with every key formatted where it is used:
     each stable type's key for its own cell, and each facet's key again,
-    from its own case_collapse_point calls, for every face entry."""
+    from its own case_collapse_point calls, for every face entry.  Points are
+    sorted here before every key is formatted."""
 
-    def key(cfg):
-        return f"c{cfg.codim}:" + " + ".join(point_str(p) for p in cfg.points)
+    def label(points):
+        return " + ".join(point_str(p) for p in sorted(points))
 
-    def facets(cfg, structure):
-        return [
-            make_config(
-                cfg.codim - 1,
-                (case_collapse_point(p, i, cfg.codim, structure) for p in cfg.points),
-            )
-            for i in range(1, cfg.codim + 1)
-        ]
+    def key(c, points):
+        return f"c{c}:" + label(points)
 
     structure = structure_for(model)
     levels = []
-    while cfgs := all_stable(structure, len(levels) + 1, m):
-        levels.append(cfgs)
+    while types := all_stable(structure, len(levels) + 1, m):
+        levels.append(types)
     cells = []
-    for k, cfgs in enumerate(levels):
-        for cfg in cfgs:
-            fs = facets(cfg, structure) if k else []
-            faces = tuple((key(f), (-1) ** i) for i, f in enumerate(fs))
-            cells.append(Cell(key(cfg), k, " + ".join(point_str(p) for p in cfg.points), faces))
+    for k, types in enumerate(levels):
+        c = k + 1
+        # vertices have no facet slots
+        slots = range(1, c + 1) if k else ()
+        for points in types:
+            facets = [[case_collapse_point(p, i, c, structure) for p in points] for i in slots]
+            faces = tuple((key(k, f), (-1) ** i) for i, f in enumerate(facets))
+            cells.append(Cell(key(c, points), k, label(points), faces))
     return cells
+
+
+def labeling_is_valid(model, labeling: dict[str, int]) -> bool:
+    """Every triangle must see each of the labels 1, 2, 3 exactly once."""
+    if set(labeling) != set(model.vertices):
+        return False
+    if not all(labeling[v] in (1, 2, 3) for v in labeling):
+        return False
+    return all(
+        sorted(labeling[v] for v in tri) == [1, 2, 3] for tri in model.triangles
+    )
 
 
 def multichoose(n: int, k: int) -> int:

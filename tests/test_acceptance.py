@@ -18,12 +18,11 @@ from degex.expansion import (
     bad_quartic_assignment,
     check_gluing,
     check_torus_compatibility,
-    default_quartic_assignment,
     get_assignment,
     subdivide,
 )
 from degex.hilb import build_pi, enumerate_cases
-from degex.models import cube_model, find_3_labeling, labeling_is_valid, quartic_model
+from degex.models import cube_model, find_3_labeling, quartic_model
 from degex.projectivity import (
     AffinePiece,
     FaceCertificate,
@@ -31,6 +30,8 @@ from degex.projectivity import (
     check_edge_agreement,
     check_strict_convexity,
 )
+
+from oracles import labeling_is_valid
 
 QUARTIC_FV = (10, 45, 110, 120, 48)
 QUARTIC_BREAKDOWNS = [(10,), (24, 6, 12, 3), (10, 16, 48, 30, 6), (48, 72), (12, 36)]
@@ -108,7 +109,7 @@ def test_criterion_05_gluing():
     qm, cm = quartic_model(), cube_model()
 
     done = timed(5)
-    E = subdivide(qm, default_quartic_assignment(), 1)
+    E = subdivide(qm, get_assignment(qm, "default"), 1)
     assert check_gluing(E).glues
     done()
 
@@ -148,7 +149,7 @@ def test_criterion_06_three_labeling():
 
 def test_criterion_07_torus_compatibility():
     qm, cm = quartic_model(), cube_model()
-    qa = default_quartic_assignment()
+    qa = get_assignment(qm, "default")
     ca = get_assignment(cm, "labeling")
     for n in (1, 2):
         assert check_torus_compatibility(subdivide(qm, qa, n)).compatible

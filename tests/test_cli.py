@@ -10,7 +10,8 @@ import pytest
 from degex import charts, complexes, hilb
 from degex.charts import ChartPoint
 from degex.cli import run
-from degex.expansion import default_quartic_assignment
+from degex.expansion import get_assignment
+from degex.models import quartic_model
 from degex.projectivity import builtin_certificates, certificates_to_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -165,9 +166,9 @@ def test_hilb_count_reports_a_census_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(
         hilb,
         "classify_config",
-        lambda cfg, model: "double point on one edge bundle"
-        if cfg.codim == 1
-        else classify(cfg, model),
+        lambda c, points, model: "double point on one edge bundle"
+        if c == 1
+        else classify(c, points, model),
     )
     code = run(["hilb", "count", "quartic"])
     captured = capsys.readouterr()
@@ -320,6 +321,18 @@ def builtin_file(**changes):
         ["hilb", "count", "quartic", "--m", "3"],
         ["hilb", "homology", "cube", "--m", "0"],
         ["hilb", "homology", "quartic", "--m", "5"],
+        # json.dumps writes an infinite float as Infinity, which json.loads reads
+        [
+            "certify-projectivity",
+            "--certificates",
+            builtin_file(pieces=[{"a_c": float("inf"), "a_q": "0", "a_tau": "0", "b": "0"}]),
+        ],
+        [
+            "certify-projectivity",
+            "--certificates",
+            builtin_file(corners={"Y3": [float("inf"), "0"], "Y2": ["1", "0"], "Y1": ["1", "1"]}),
+        ],
+        ["certify-projectivity", "--certificates", builtin_file(roles=["Y1", "Y1", "Y3"])],
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -342,7 +355,7 @@ def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
     [
         [{"opposite": "Y4", "first": "Y1", "second": "Y2"}],
         {"triangles": [["Y1", "Y2", "Y3"]]},
-        {"triangles": default_quartic_assignment().to_json_obj()
+        {"triangles": get_assignment(quartic_model(), "default").to_json_obj()
          + [{"opposite": "Y4", "first": "Y1", "second": "Y2"}]},
         {"triangles": [{"opposite": "Y4", "first": "Y1"}]},
         {"triangles": [{"vertices": 5, "first": "Y1", "second": "Y2"}]},
@@ -359,7 +372,7 @@ def test_malformed_assignment_file_is_one_line_usage_error(payload, tmp_path, ca
 
 def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assignment = {"triangles": default_quartic_assignment().to_json_obj()}
+    assignment = {"triangles": get_assignment(quartic_model(), "default").to_json_obj()}
     (tmp_path / "my_assignment.json").write_text(json.dumps(assignment))
     lines = [line for line in README.read_text().splitlines() if line.startswith("degex ")]
     assert lines

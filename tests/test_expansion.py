@@ -7,15 +7,14 @@ import pytest
 from degex.complexes import euler_characteristic, validate
 from degex.expansion import (
     BlowupAssignment,
+    assignment_from_order,
     bad_quartic_assignment,
     check_gluing,
     check_torus_compatibility,
-    default_quartic_assignment,
     get_assignment,
-    labeling_assignment,
     subdivide,
 )
-from degex.models import cube_model, find_3_labeling, quartic_model
+from degex.models import cube_model, quartic_model
 
 
 def closed_surface(K):
@@ -62,7 +61,7 @@ def assert_levels_follow_their_definition(E):
 
 
 def test_default_assignment_pairs():
-    a = default_quartic_assignment()
+    a = get_assignment(quartic_model(), "default")
     assert a.pairs[("Y1", "Y2", "Y3")] == ("Y1", "Y2")
     assert a.pairs[("Y1", "Y3", "Y4")] == ("Y1", "Y3")
     assert a.pairs[("Y2", "Y3", "Y4")] == ("Y4", "Y2")
@@ -70,14 +69,14 @@ def test_default_assignment_pairs():
 
 def test_subdivide_n0_returns_model():
     m = quartic_model()
-    E = subdivide(m, default_quartic_assignment(), 0)
+    E = subdivide(m, get_assignment(m, "default"), 0)
     assert E.cells is m.sphere
     assert E.exceptional_vertex_count() == 0
 
 
 def test_quartic_n1_census():
     m = quartic_model()
-    E = subdivide(m, default_quartic_assignment(), 1)
+    E = subdivide(m, get_assignment(m, "default"), 1)
     # one glued node per tetrahedron edge; each triangle cut into 3 regions
     assert len(E.edge_nodes) == 6
     assert len(E.boxes) == 0
@@ -89,7 +88,7 @@ def test_quartic_n1_census():
 
 def test_quartic_n2_census():
     m = quartic_model()
-    E = subdivide(m, default_quartic_assignment(), 2)
+    E = subdivide(m, get_assignment(m, "default"), 2)
     # explicit cell census: 2 nodes per edge plus one corner box per triangle
     assert len(E.edge_nodes) == 12
     assert len(E.boxes) == 4
@@ -102,7 +101,7 @@ def test_quartic_n2_census():
 
 def test_quartic_default_glues_n1():
     m = quartic_model()
-    E = subdivide(m, default_quartic_assignment(), 1)
+    E = subdivide(m, get_assignment(m, "default"), 1)
     assert check_gluing(E).glues
 
 
@@ -127,7 +126,7 @@ def test_bad_assignment_fails_at_generic_params_too():
 
 def test_cube_labeling_assignment_glues():
     m = cube_model()
-    a = labeling_assignment(m, find_3_labeling(m))
+    a = get_assignment(m, "labeling")
     E = subdivide(m, a, 1)
     assert check_gluing(E).glues
     assert len(E.edge_nodes) == 12
@@ -146,7 +145,7 @@ def test_single_triangle_pair_from_labeling():
 
     disk = make_surface_model("disk", [("A", "B", "C")], require_closed=False)
     lab = find_3_labeling(disk)
-    a = labeling_assignment(disk, lab)
+    a = get_assignment(disk, "labeling")
     (f, s) = a.pairs[("A", "B", "C")]
     assert lab[f] == 1 and lab[s] == 2
 
@@ -154,7 +153,7 @@ def test_single_triangle_pair_from_labeling():
 def test_gluing_holds_up_to_depth_4_random_params():
     rng = random.Random(12345)
     m = quartic_model()
-    a = default_quartic_assignment()
+    a = get_assignment(m, "default")
     for n in range(0, 5):
         for _ in range(3):
             cuts = sorted(
@@ -181,7 +180,7 @@ def test_gluing_report_independent_of_processing_order():
 
 def test_color_length_bookkeeping_matches_across_sides():
     m = quartic_model()
-    E = subdivide(m, default_quartic_assignment(), 2, positions=[Fraction(1, 5), Fraction(1, 2)])
+    E = subdivide(m, get_assignment(m, "default"), 2, positions=[Fraction(1, 5), Fraction(1, 2)])
     assert check_gluing(E).glues
     for e, sides in E.colored_segments.items():
         views = [
@@ -198,9 +197,9 @@ def test_color_length_bookkeeping_matches_across_sides():
 
 def test_torus_compatibility_passes_for_good_assignments():
     qm = quartic_model()
-    qa = default_quartic_assignment()
+    qa = get_assignment(qm, "default")
     cm = cube_model()
-    ca = labeling_assignment(cm, find_3_labeling(cm))
+    ca = get_assignment(cm, "labeling")
     for n in (1, 2):
         Eq = subdivide(qm, qa, n)
         assert check_torus_compatibility(Eq).compatible
@@ -218,6 +217,7 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
     ]
     assert len(assignments) == 1296
     with_foreign_nodes = 0
+    gluing = set()
     for assignment in assignments:
         for n in (1, 2):
             E = subdivide(m, assignment, n)
@@ -225,7 +225,10 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
                 for t, level in node.levels.items():
                     census = E.edge_census[node.edge][t]
                     assert [lev for pos, lev in census if pos == node.position] == [level]
-            assert check_torus_compatibility(E).compatible == check_gluing(E).glues
+            glues = check_gluing(E).glues
+            assert check_torus_compatibility(E).compatible == glues
+            if n == 1 and glues:
+                gluing.add(tuple(sorted(assignment.pairs.items())))
         # at these positions a side whose distinguished endpoint differs from
         # its neighbour's has nodes the neighbour lacks: the neighbour's
         # regions must take them into their boundary cycles
@@ -236,11 +239,28 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
         assert closed_surface(E.cells)
         assert euler_characteristic(E.cells) == 2
     assert with_foreign_nodes == 1272
+    # gluing means a vertex order: every edge read from its later vertex
+    orders = {
+        tuple(sorted(assignment_from_order(m, order).pairs.items()))
+        for order in permutations(m.vertices)
+    }
+    assert len(orders) == 24
+    assert gluing == orders
+
+
+def test_sampled_cube_vertex_orders_glue_and_are_torus_compatible():
+    m = cube_model()
+    orders = list(permutations(m.vertices))
+    assert len(orders) == 720
+    for order in random.Random(16).sample(orders, 24):
+        E = subdivide(m, assignment_from_order(m, order), 1)
+        assert check_gluing(E).glues
+        assert check_torus_compatibility(E).compatible
 
 
 def test_cube_levels_follow_their_definition_at_random_positions():
     m = cube_model()
-    a = labeling_assignment(m, find_3_labeling(m))
+    a = get_assignment(m, "labeling")
     rng = random.Random(15)
     for n in range(1, 5):
         for _ in range(5):
@@ -249,7 +269,7 @@ def test_cube_levels_follow_their_definition_at_random_positions():
 
 
 def flipped_corner_assignment():
-    pairs = dict(default_quartic_assignment().pairs)
+    pairs = dict(get_assignment(quartic_model(), "default").pairs)
     f, s = pairs[("Y1", "Y2", "Y3")]
     pairs[("Y1", "Y2", "Y3")] = (s, f)
     return BlowupAssignment(pairs)
@@ -274,7 +294,7 @@ def test_flipped_corner_also_fails_gluing_on_colors():
 
 def test_position_validation():
     m = quartic_model()
-    a = default_quartic_assignment()
+    a = get_assignment(m, "default")
     with pytest.raises(ValueError):
         subdivide(m, a, 2, positions=[Fraction(2, 3), Fraction(1, 3)])
     with pytest.raises(ValueError):

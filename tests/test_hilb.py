@@ -27,8 +27,8 @@ from degex.hilb import (
     components_at_codim,
     enumerate_cases,
     homology_report,
-    make_config,
     structure_for,
+    type_key,
 )
 from degex.models import cube_model, get_model, quartic_model
 
@@ -152,7 +152,7 @@ def test_facet_slots_and_boundary():
 
 def test_specialize_vertex_matches_incidence():
     K, _ = build_pi(quartic_model(), m=2)
-    v = make_config(1, (("Y", "Y1"), ("Y", "Y1"))).canonical_key
+    v = type_key(1, (("Y", "Y1"), ("Y", "Y1")))
     # the vertex specializes to exactly the edges having it as a face
     assert sum(1 for e in K.cells_of_dim(1) if v in {fid for fid, _ in e.faces}) == 9
 
@@ -273,17 +273,17 @@ def test_face_maps_contract_a_segment_of_the_subdivision(model):
 def test_a_census_mismatch_lists_the_sorted_keys_per_family(monkeypatch):
     model = quartic_model()
     classify = hilb.classify_config
-    double_point = make_config(2, (("E", ("Y1", "Y2"), 1), ("E", ("Y1", "Y2"), 1)))
-    assert classify(double_point, model) == "double point on one edge bundle"
+    double_point = (("E", ("Y1", "Y2"), 1), ("E", ("Y1", "Y2"), 1))
+    assert classify(2, double_point, model) == "double point on one edge bundle"
 
-    def misfiled(cfg, surface):
-        if cfg == double_point:
+    def misfiled(c, points, surface):
+        if (c, points) == (2, double_point):
             return "bundles over disjoint edges"
-        return classify(cfg, surface)
+        return classify(c, points, surface)
 
     expected: dict[str, list[str]] = {}
-    for cfg in all_stable(structure_for(model), 2):
-        expected.setdefault(misfiled(cfg, model), []).append(cfg.canonical_key)
+    for points in all_stable(structure_for(model), 2):
+        expected.setdefault(misfiled(2, points, model), []).append(type_key(2, points))
     monkeypatch.setattr(hilb, "classify_config", misfiled)
     # types generated in key order would hide an unsorted diff
     generate = hilb.all_stable
@@ -294,7 +294,7 @@ def test_a_census_mismatch_lists_the_sorted_keys_per_family(monkeypatch):
     assert diff["dimension"] == 1
     assert diff["case_counts"] == dict(enumerate_cases(model, 1).cases)
     assert diff["stable_type_counts"] == {fam: sorted(keys) for fam, keys in expected.items()}
-    assert double_point.canonical_key in diff["stable_type_counts"]["bundles over disjoint edges"]
+    assert type_key(2, double_point) in diff["stable_type_counts"]["bundles over disjoint edges"]
     assert len(diff["stable_type_counts"]["double point on one edge bundle"]) == 5
 
 
@@ -332,10 +332,7 @@ def test_same_corner_deep_types_are_three_per_corner():
     same_corner = [
         c
         for c in K.cells_of_dim(4)
-        if classify_config(
-            make_config(5, _points_from_key(c.id)), m
-        )
-        == "two splittings of one corner"
+        if classify_config(5, _points_from_key(c.id), m) == "two splittings of one corner"
     ]
     assert len(same_corner) == 12  # three stable splittings on each corner
 
@@ -358,13 +355,19 @@ def _points_from_key(key: str):
 
 
 def test_canonicalization_idempotent_and_exchange_invariant():
+    # a type is its sorted tuple of components: all_stable yields every type
+    # exactly once and already sorted, so no caller sorts it again
     p1 = ("E", ("Y1", "Y2"), 1)
     p2 = ("B", ("Y1", "Y2", "Y3"), 1, 2)
-    a = make_config(3, (p1, p2))
-    b = make_config(3, (p2, p1))
-    assert a == b
-    assert a.canonical_key == b.canonical_key
-    assert make_config(3, a.points) == a
+    for model in ("quartic", "cube"):
+        s = structure_for(get_model(model))
+        for c in range(1, 7):
+            types = all_stable(s, c)
+            assert all(list(points) == sorted(points) for points in types)
+            assert len(set(types)) == len(types)
+    types = all_stable(structure_for(quartic_model()), 3)
+    assert (p2, p1) in types and (p1, p2) not in types
+    assert type_key(3, (p2, p1)) == "c3:B[Y1|Y2|Y3]@1,2 + E[Y1|Y2]@1"
 
 
 def test_compare_with_reference_quartic():
@@ -416,8 +419,5 @@ def test_symmetry_equivariance_on_cube():
 
     for dim in range(5):
         keys = {c.id for c in K.cells_of_dim(dim)}
-        mapped = {
-            make_config(dim + 1, tuple(map(map_point, _points_from_key(k)))).canonical_key
-            for k in keys
-        }
+        mapped = {type_key(dim + 1, sorted(map(map_point, _points_from_key(k)))) for k in keys}
         assert mapped == keys

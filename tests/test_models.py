@@ -2,13 +2,9 @@ import random
 from itertools import combinations, product
 
 from degex.complexes import euler_characteristic, f_vector, validate
-from degex.models import (
-    cube_model,
-    find_3_labeling,
-    labeling_is_valid,
-    make_surface_model,
-    quartic_model,
-)
+from degex.models import cube_model, find_3_labeling, make_surface_model, quartic_model
+
+from oracles import labeling_is_valid
 
 
 def test_quartic_model_shape_and_metadata():

@@ -25,10 +25,10 @@ from degex.complexes import (
     to_json,
     validate,
 )
-from degex.expansion import check_gluing, default_quartic_assignment, get_assignment, subdivide
-from degex.hilb import build_pi, make_config
+from degex.expansion import check_gluing, get_assignment, subdivide
+from degex.hilb import all_stable, build_pi, is_stable, structure_for
 from degex.linalg import rank_over_rationals, smith_normal_form
-from degex.models import cube_model, find_3_labeling, labeling_is_valid, quartic_model
+from degex.models import cube_model, find_3_labeling, quartic_model
 
 from oracles import (
     chart_equation_residuals,
@@ -37,6 +37,7 @@ from oracles import (
     face_relation_signature,
     gcd_of_minors,
     int_matrix,
+    labeling_is_valid,
     product_identity_residual,
     rank_oracle_gauss,
     unit_eliminate,
@@ -127,7 +128,8 @@ def test_rational_roundtrip(a, b):
 def test_subdivision_invariants(n, seed):
     rng = random.Random(seed)
     cuts = sorted({Fraction(rng.randint(1, 23), 24) for _ in range(n)})
-    E = subdivide(quartic_model(), default_quartic_assignment(), len(cuts), positions=cuts)
+    m = quartic_model()
+    E = subdivide(m, get_assignment(m, "default"), len(cuts), positions=cuts)
     assert validate(E.cells) == []
     assert euler_characteristic(E.cells) == 2
     assert check_gluing(E).glues
@@ -163,16 +165,22 @@ POINT_POOL = [
 @FIXED
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 5))
 def test_canonicalization_idempotent_and_exchange_invariant(i, j, c):
+    # a type is its sorted tuple of components: all_stable yields every type
+    # exactly once and already sorted, so the pair (p, q) shows up once, in
+    # sorted order, exactly when it is stable
     p, q = POINT_POOL[i], POINT_POOL[j]
-    a = make_config(c, (p, q))
-    b = make_config(c, (q, p))
-    assert a == b and a.canonical_key == b.canonical_key
-    assert make_config(c, a.points) == a
+    types = all_stable(structure_for(quartic_model()), c)
+    assert all(list(points) == sorted(points) for points in types)
+    assert len(set(types)) == len(types)
+    pair = tuple(sorted((p, q)))
+    assert types.count(pair) == is_stable(pair, c)
+    assert p == q or pair[::-1] not in types
 
 
 def test_export_import_roundtrip_on_built_complexes():
     complexes = [quartic_model().sphere, cube_model().sphere]
-    complexes.append(subdivide(quartic_model(), default_quartic_assignment(), 2).cells)
+    q = quartic_model()
+    complexes.append(subdivide(q, get_assignment(q, "default"), 2).cells)
     complexes.append(build_pi(quartic_model(), m=1)[0])
     for K in complexes:
         K2 = from_json(to_json(K))
