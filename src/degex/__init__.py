@@ -13,7 +13,11 @@ __all__ = ["Rational", "__version__", "parse_fraction"]
 
 
 def parse_fraction(text) -> Rational:
-    """Exact rational from input such as "1/3"; bad input is a ValueError."""
+    """Exact rational from a string such as "1/3" or an int; bad input is a
+    ValueError.  A float or a bool is refused: JSON 0.1 would read as a
+    binary fraction, and true as 1."""
+    if isinstance(text, (bool, float)):
+        raise ValueError(f"not an exact fraction: {text!r}; write it as a string such as '1/3'")
     try:
         return Rational(text)
     except ZeroDivisionError:

@@ -26,6 +26,7 @@ from .expansion import (
     subdivide,
 )
 from .hilb import (
+    INDEX_CONVENTION_NOTE,
     EnumerationMismatch,
     build_pi,
     compare_with_reference,
@@ -172,12 +173,11 @@ def cmd_certify(args) -> int:
     face_results = [check_strict_convexity(cert, tau) for cert in certs for tau in taus]
     face_results.sort(key=lambda r: (r.face, r.tau))
     results = {"faces": [r.to_json_obj() for r in face_results]}
+    ok = all(r.ok for r in face_results)
     if args.all_edges:
-        results["edges"] = {
-            str(tau): [r.to_json_obj() for r in check_edge_agreement(certs, tau)]
-            for tau in taus
-        }
-    status = "pass" if all(r.ok for r in face_results) else "fail"
+        edges = {str(tau): check_edge_agreement(certs, tau) for tau in taus}
+        results["edges"] = {tau: [r.to_json_obj() for r in rs] for tau, rs in edges.items()}
+        ok = ok and all(r.equal for rs in edges.values() for r in rs)
     return _emit(
         "certify-projectivity",
         {
@@ -186,7 +186,7 @@ def cmd_certify(args) -> int:
             "certificates": args.certificates,
         },
         results,
-        status,
+        "pass" if ok else "fail",
     )
 
 
@@ -218,13 +218,13 @@ def cmd_hilb_count(args) -> int:
     results: dict = {"m": args.m}
     status = "pass"
     try:
-        _, info = build_pi(model, m=args.m)
-        fv = info["f_vector"]
+        K, breakdowns = build_pi(model, m=args.m)
+        fv = list(f_vector(K))
         results["f_vector"] = fv
-        results["index_convention"] = info["index_convention"]
-        if "breakdowns" in info:
-            results["breakdowns"] = [b.to_json_obj() for b in info["breakdowns"]]
-            results["case_f_vector"] = [b.total() for b in info["breakdowns"]]
+        results["index_convention"] = INDEX_CONVENTION_NOTE
+        if breakdowns:
+            results["breakdowns"] = [b.to_json_obj() for b in breakdowns]
+            results["case_f_vector"] = [b.total() for b in breakdowns]
             results["agreement"] = results["case_f_vector"] == fv
         results["euler"] = euler_of_counts(fv)
         reference = compare_with_reference(fv, args.model, m=args.m)

@@ -26,14 +26,16 @@ base codimension is the level it sits on.  Keys are formatted once per
 level, lowest codimension first; the collapse maps are tabulated once per
 codimension and slot over the components, and a facet, sorted, finds its id
 among the keys of the level below.  A facet that is not a stable type keeps
-its own key, which validation reports as a dangling face.  The case-family
-counts (orbit counting over the model strata, one named family per proof
-case) are an independent census of the same cells; the two must agree
-family by family, and a mismatch is a hard failure whose report lists the
-keys per family.
+its own key, which validation reports as a dangling face.  The case census
+(one named family per proof case, built from the model strata) is an
+independent listing of the same cells: each family lists its types, and
+together they must be exactly the stable types, each once.  A mismatch is a
+hard failure whose report lists the keys listed but not stable and stable
+but not listed.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, zip_longest
 
@@ -190,7 +192,7 @@ def collapse_tables(structure: ExpansionStructure, c: int) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# case-family enumeration (independent of the complex construction)
+# case census (independent of the complex construction)
 
 
 def _pair_relation(model: SurfaceModel, e, f) -> str:
@@ -213,8 +215,15 @@ def _vertex_edge_relation(model: SurfaceModel, v, e) -> str:
 
 @dataclass(frozen=True)
 class CaseBreakdown:
+    """The case families of one dimension in proof-case order, each with the
+    stable types it lists."""
+
     dim: int
-    cases: tuple[tuple[str, int], ...]
+    families: dict[str, list[tuple]]
+
+    @property
+    def cases(self) -> tuple[tuple[str, int], ...]:
+        return tuple((name, len(types)) for name, types in self.families.items())
 
     def total(self) -> int:
         return sum(n for _, n in self.cases)
@@ -227,152 +236,75 @@ class CaseBreakdown:
         }
 
 
-FAMILY_ORDER = {
-    0: ["two points in component interiors"],
-    1: [
-        "edge bundles meeting one corner",
-        "double point on one edge bundle",
-        "component with the bundle over an adjacent edge",
-        "bundles over disjoint edges",
-        "bundles over edges sharing only a vertex",
-        "component with the bundle over a far edge",
-    ],
-    2: [
-        "two corner boxes",
-        "corner box with a component",
-        "corner box with an edge bundle",
-        "bundles over distinct edges at different speeds",
-        "bundles over one edge at different speeds",
-    ],
-    3: [
-        "corner boxes with complementary level splits",
-        "corner box with the level-matched edge bundle",
-    ],
-    4: [
-        "two splittings of one corner",
-        "ordered splittings of two corners",
-    ],
-}
-
-
 def enumerate_cases(model: SurfaceModel, k: int) -> CaseBreakdown:
-    """Two-point case families at dimension k, counted stratum by stratum.
+    """Two-point case families at dimension k, each listing its stable types.
 
-    Each count iterates over actual strata of the model (vertices, double
-    curves, triple points and their incidences); nothing is hard-coded.
-    Families that cannot occur on a model (count zero) are omitted.
+    Each family iterates over actual strata of the model (vertices, double
+    curves, triple points and their incidences); nothing is hard-coded.  A
+    type is the sorted component tuple that all_stable yields.  Families that
+    cannot occur on a model (no types) are omitted.
     """
     if not 0 <= k <= 4:
         raise ValueError("dimension out of range for two points")
     V, E, T = model.vertices, model.edges, model.triangles
-    counts = {name: 0 for name in FAMILY_ORDER[k]}
     if k == 0:
-        counts["two points in component interiors"] = sum(
-            1 for _ in combinations_with_replacement(V, 2)
-        )
+        families = {
+            "two points in component interiors": [
+                (("Y", a), ("Y", b)) for a, b in combinations_with_replacement(V, 2)
+            ],
+        }
     elif k == 1:
+        edge_pairs = {"corner": [], "equal": [], "vertex-only": [], "disjoint": []}
         for e, f in combinations_with_replacement(E, 2):
-            rel = _pair_relation(model, e, f)
-            if rel == "equal":
-                counts["double point on one edge bundle"] += 1
-            elif rel == "corner":
-                counts["edge bundles meeting one corner"] += 1
-            elif rel == "vertex-only":
-                counts["bundles over edges sharing only a vertex"] += 1
-            else:
-                counts["bundles over disjoint edges"] += 1
+            edge_pairs[_pair_relation(model, e, f)].append((("E", e, 1), ("E", f, 1)))
+        with_vertex = {"adjacent": [], "corner": [], "far": []}
         for v in V:
             for e in E:
-                rel = _vertex_edge_relation(model, v, e)
-                if rel == "adjacent":
-                    counts["component with the bundle over an adjacent edge"] += 1
-                elif rel == "corner":
-                    counts["edge bundles meeting one corner"] += 1
-                else:
-                    counts["component with the bundle over a far edge"] += 1
+                with_vertex[_vertex_edge_relation(model, v, e)].append((("E", e, 1), ("Y", v)))
+        families = {
+            "edge bundles meeting one corner": edge_pairs["corner"] + with_vertex["corner"],
+            "double point on one edge bundle": edge_pairs["equal"],
+            "component with the bundle over an adjacent edge": with_vertex["adjacent"],
+            "bundles over disjoint edges": edge_pairs["disjoint"],
+            "bundles over edges sharing only a vertex": edge_pairs["vertex-only"],
+            "component with the bundle over a far edge": with_vertex["far"],
+        }
     elif k == 2:
-        counts["two corner boxes"] = sum(1 for _ in combinations_with_replacement(T, 2))
-        counts["corner box with a component"] = sum(1 for _ in T for _ in V)
-        counts["corner box with an edge bundle"] = sum(
-            1 for _ in T for _ in E for _speed in (1, 2)
-        )
-        counts["bundles over distinct edges at different speeds"] = sum(
-            2 for _ in combinations(E, 2)
-        )
-        counts["bundles over one edge at different speeds"] = len(E)
+        families = {
+            "two corner boxes": [
+                (("B", s, 1, 2), ("B", t, 1, 2)) for s, t in combinations_with_replacement(T, 2)
+            ],
+            "corner box with a component": [(("B", t, 1, 2), ("Y", v)) for t in T for v in V],
+            "corner box with an edge bundle": [
+                (("B", t, 1, 2), ("E", e, speed)) for t in T for e in E for speed in (1, 2)
+            ],
+            "bundles over distinct edges at different speeds": [
+                (("E", e, speed), ("E", f, 3 - speed))
+                for e, f in combinations(E, 2)
+                for speed in (1, 2)
+            ],
+            "bundles over one edge at different speeds": [(("E", e, 1), ("E", e, 2)) for e in E],
+        }
     elif k == 3:
-        boxes = [(t, j, k2) for t in T for (j, k2) in ((1, 2), (1, 3), (2, 3))]
-        n = 0
-        for (t1, a1, b1), (t2, a2, b2) in combinations_with_replacement(boxes, 2):
-            if {a1, b1} | {a2, b2} == {1, 2, 3} and {a1, b1} != {a2, b2}:
-                n += 1
-        counts["corner boxes with complementary level splits"] = n
-        counts["corner box with the level-matched edge bundle"] = sum(
-            1 for _t in T for _lv in ((1, 2), (1, 3), (2, 3)) for _e in E
-        )
-    elif k == 4:
-        boxes = [(t, j, k2) for t in T for j in (1, 2, 3) for k2 in range(j + 1, 5)]
-        one, two = 0, 0
-        for (t1, a1, b1), (t2, a2, b2) in combinations_with_replacement(boxes, 2):
-            if {a1, b1} | {a2, b2} == {1, 2, 3, 4} and not {a1, b1} & {a2, b2}:
-                if t1 == t2:
-                    one += 1
-                else:
-                    two += 1
-        counts["two splittings of one corner"] = one
-        counts["ordered splittings of two corners"] = two
-    cases = tuple((name, counts[name]) for name in FAMILY_ORDER[k] if counts[name])
-    return CaseBreakdown(k, cases)
-
-
-def classify_config(c: int, points, model: SurfaceModel) -> str:
-    """Family of the stable type `points` of codimension c, in the case-family
-    taxonomy."""
-    base = {"Y": 0, "E": 0, "B": 0}
-    for p in points:
-        base[p[0]] += 1
-    p1, p2 = points
-    if c == 1:
-        return "two points in component interiors"
-    if c == 2:
-        if base["E"] == 2:
-            if p1 == p2:
-                return "double point on one edge bundle"
-            rel = _pair_relation(model, p1[1], p2[1])
-            return {
-                "corner": "edge bundles meeting one corner",
-                "vertex-only": "bundles over edges sharing only a vertex",
-                "disjoint": "bundles over disjoint edges",
-            }[rel]
-        e = p1 if p1[0] == "E" else p2
-        v = p1 if p1[0] == "Y" else p2
-        rel = _vertex_edge_relation(model, v[1], e[1])
-        return {
-            "adjacent": "component with the bundle over an adjacent edge",
-            "corner": "edge bundles meeting one corner",
-            "far": "component with the bundle over a far edge",
-        }[rel]
-    if c == 3:
-        if base["B"] == 2:
-            return "two corner boxes"
-        if base["B"] == 1 and base["Y"] == 1:
-            return "corner box with a component"
-        if base["B"] == 1:
-            return "corner box with an edge bundle"
-        if p1[1] == p2[1]:
-            return "bundles over one edge at different speeds"
-        return "bundles over distinct edges at different speeds"
-    if c == 4:
-        if base["B"] == 2:
-            return "corner boxes with complementary level splits"
-        return "corner box with the level-matched edge bundle"
-    if c == 5:
-        return (
-            "two splittings of one corner"
-            if p1[1] == p2[1]
-            else "ordered splittings of two corners"
-        )
-    raise ValueError(f"unclassifiable configuration {type_key(c, points)}")
+        boxes = [("B", t, j, l) for t in T for j, l in combinations((1, 2, 3), 2)]
+        # two different level pairs cover levels 1..3
+        families = {
+            "corner boxes with complementary level splits": [
+                (a, b) for a, b in combinations(boxes, 2) if a[2:] != b[2:]
+            ],
+            "corner box with the level-matched edge bundle": [
+                (b, ("E", e, 6 - b[2] - b[3])) for b in boxes for e in E
+            ],
+        }
+    else:
+        boxes = [("B", t, j, l) for t in T for j, l in combinations((1, 2, 3, 4), 2)]
+        # two disjoint level pairs cover levels 1..4
+        splittings = [(a, b) for a, b in combinations(boxes, 2) if not {*a[2:]} & {*b[2:]}]
+        families = {
+            "two splittings of one corner": [(a, b) for a, b in splittings if a[1] == b[1]],
+            "ordered splittings of two corners": [(a, b) for a, b in splittings if a[1] != b[1]],
+        }
+    return CaseBreakdown(k, {name: types for name, types in families.items() if types})
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +318,13 @@ class EnumerationMismatch(Exception):
 
 
 def build_pi(model: SurfaceModel, m: int = 2):
-    """Assemble the dual complex and cross-check it against the case counts.
+    """Assemble the dual complex and cross-check it against the case census.
 
     Cells are all stable types of every base codimension down to the deepest
-    nonempty one, with faces from the facet maps.  Returns (complex, info).
-    For m = 2 the census is compared with enumerate_cases family by family,
-    and info["breakdowns"] keeps those case counts; any disagreement, or a
+    nonempty one, with faces from the facet maps.  Returns (complex,
+    breakdowns).  For m = 2 the types enumerate_cases lists at each level
+    must be exactly the stable types, each once, and breakdowns keeps the
+    census of every level; for other m it is empty.  Any disagreement, or a
     complex failing validation, raises EnumerationMismatch.
     """
     structure = structure_for(model)
@@ -403,20 +336,20 @@ def build_pi(model: SurfaceModel, m: int = 2):
     if m == 2:
         for k, types in enumerate(levels):
             breakdown = enumerate_cases(model, k)
-            expected = dict(breakdown.cases)
-            got: dict[str, list[tuple]] = {}
-            for points in types:
-                got.setdefault(classify_config(k + 1, points, model), []).append(points)
-            if expected != {fam: len(ts) for fam, ts in got.items()}:
+            listed = Counter(t for ts in breakdown.families.values() for t in ts)
+            stable = Counter(types)
+            if listed != stable:
                 raise EnumerationMismatch(
                     f"case census and stable types disagree at dimension {k}",
                     {
                         "dimension": k,
-                        "case_counts": expected,
-                        "stable_type_counts": {
-                            fam: sorted(type_key(k + 1, points) for points in ts)
-                            for fam, ts in got.items()
-                        },
+                        "case_counts": dict(breakdown.cases),
+                        "listed_not_stable": sorted(
+                            type_key(k + 1, t) for t in (listed - stable).elements()
+                        ),
+                        "stable_not_listed": sorted(
+                            type_key(k + 1, t) for t in (stable - listed).elements()
+                        ),
                     },
                 )
             breakdowns.append(breakdown)
@@ -444,15 +377,7 @@ def build_pi(model: SurfaceModel, m: int = 2):
         raise EnumerationMismatch(
             "complex failed validation", {"violations": [str(p) for p in problems]}
         )
-    info = {
-        "model": model.name,
-        "m": m,
-        "f_vector": list(f_vector(K)),
-        "index_convention": INDEX_CONVENTION_NOTE,
-    }
-    if breakdowns:
-        info["breakdowns"] = breakdowns
-    return K, info
+    return K, breakdowns
 
 
 def compare_with_reference(fv, model_name: str, m: int = 2) -> dict:
@@ -506,11 +431,11 @@ def homology_report(model: SurfaceModel, m: int = 2) -> dict:
     # looked up at call time, so a patched or traced complexes name is used
     from .complexes import betti_numbers, h1_torsion
 
-    K, info = build_pi(model, m)
+    K, _ = build_pi(model, m)
     report = {
         "model": model.name,
         "m": m,
-        "f_vector": info["f_vector"],
+        "f_vector": list(f_vector(K)),
         "betti": list(betti_numbers(K)),
         "h1_torsion": h1_torsion(K),
         # the rational homology of CP^m; CP^1 is the model's sphere

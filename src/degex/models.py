@@ -56,9 +56,9 @@ def make_surface_model(
     name: str,
     triangles,
     metadata: SingularityData | None = None,
-    require_closed: bool = True,
 ) -> SurfaceModel:
-    """Assemble a model from triangles; degenerate inputs allowed for tests."""
+    """Assemble a model from triangles, checking it is a closed surface with
+    the Euler characteristic of a sphere."""
     triangles = tuple(tuple(sorted(t)) for t in triangles)
     vertices = tuple(sorted({v for t in triangles for v in t}))
     edges = tuple(sorted({edge_key(a, b) for t in triangles for a, b in combinations(t, 2)}))
@@ -67,13 +67,12 @@ def make_surface_model(
     problems = validate(sphere)
     if problems:
         raise ValueError(f"model {name}: {problems[0]}")
-    if require_closed:
-        for e in edges:
-            cofaces = model.triangles_containing_edge(e)
-            if len(cofaces) != 2:
-                raise ValueError(f"model {name}: edge {e} has {len(cofaces)} coface triangles")
-        if euler_characteristic(sphere) != 2:
-            raise ValueError(f"model {name}: Euler characteristic != 2")
+    for e in edges:
+        cofaces = model.triangles_containing_edge(e)
+        if len(cofaces) != 2:
+            raise ValueError(f"model {name}: edge {e} has {len(cofaces)} coface triangles")
+    if euler_characteristic(sphere) != 2:
+        raise ValueError(f"model {name}: Euler characteristic != 2")
     if metadata is not None:
         metadata.check()
     return model

@@ -140,10 +140,10 @@ def certificate_from_json_obj(obj: dict) -> FaceCertificate:
 
 
 def certificates_from_json(text: str) -> list[FaceCertificate]:
-    return [
-        certificate_from_json_obj(o)
-        for o in _field(json.loads(text), "faces", "certificate file", list)
-    ]
+    faces = _field(json.loads(text), "faces", "certificate file", list)
+    if not faces:
+        raise ValueError("certificate file field 'faces' lists no face")
+    return [certificate_from_json_obj(o) for o in faces]
 
 
 def certificates_to_json(certs) -> str:

@@ -10,7 +10,14 @@ from sympy.polys.matrices.normalforms import invariant_factors
 
 from degex.charts import ChartPoint
 from degex.complexes import Cell, DeltaComplex, boundary_matrix, f_vector
-from degex.hilb import all_stable, components_at_codim, is_stable, point_str, structure_for
+from degex.hilb import (
+    all_stable,
+    components_at_codim,
+    is_stable,
+    point_str,
+    structure_for,
+    type_key,
+)
 from degex.linalg import IntMatrix
 
 
@@ -241,6 +248,76 @@ def key_per_facet_cells(model, m: int) -> list[Cell]:
             faces = tuple((key(k, f), (-1) ** i) for i, f in enumerate(facets))
             cells.append(Cell(key(c, points), k, label(points), faces))
     return cells
+
+
+def _pair_relation(model, e, f) -> str:
+    if e == f:
+        return "equal"
+    if any(set(e) | set(f) <= set(t) for t in model.triangles):
+        return "corner"
+    if set(e) & set(f):
+        return "vertex-only"
+    return "disjoint"
+
+
+def _vertex_edge_relation(model, v, e) -> str:
+    if v in e:
+        return "adjacent"
+    if any(set(e) | {v} <= set(t) for t in model.triangles):
+        return "corner"
+    return "far"
+
+
+def classify_config(c: int, points, model) -> str:
+    """Family of the stable type `points` of codimension c, in the case-family
+    taxonomy; classifies a given type by its component kinds and strata
+    relations, sharing no code with ``hilb.enumerate_cases``, which lists the
+    types of each family."""
+    base = {"Y": 0, "E": 0, "B": 0}
+    for p in points:
+        base[p[0]] += 1
+    p1, p2 = points
+    if c == 1:
+        return "two points in component interiors"
+    if c == 2:
+        if base["E"] == 2:
+            if p1 == p2:
+                return "double point on one edge bundle"
+            rel = _pair_relation(model, p1[1], p2[1])
+            return {
+                "corner": "edge bundles meeting one corner",
+                "vertex-only": "bundles over edges sharing only a vertex",
+                "disjoint": "bundles over disjoint edges",
+            }[rel]
+        e = p1 if p1[0] == "E" else p2
+        v = p1 if p1[0] == "Y" else p2
+        rel = _vertex_edge_relation(model, v[1], e[1])
+        return {
+            "adjacent": "component with the bundle over an adjacent edge",
+            "corner": "edge bundles meeting one corner",
+            "far": "component with the bundle over a far edge",
+        }[rel]
+    if c == 3:
+        if base["B"] == 2:
+            return "two corner boxes"
+        if base["B"] == 1 and base["Y"] == 1:
+            return "corner box with a component"
+        if base["B"] == 1:
+            return "corner box with an edge bundle"
+        if p1[1] == p2[1]:
+            return "bundles over one edge at different speeds"
+        return "bundles over distinct edges at different speeds"
+    if c == 4:
+        if base["B"] == 2:
+            return "corner boxes with complementary level splits"
+        return "corner box with the level-matched edge bundle"
+    if c == 5:
+        return (
+            "two splittings of one corner"
+            if p1[1] == p2[1]
+            else "ordered splittings of two corners"
+        )
+    raise ValueError(f"unclassifiable configuration {type_key(c, points)}")
 
 
 def labeling_is_valid(model, labeling: dict[str, int]) -> bool:

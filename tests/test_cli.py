@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
 
@@ -161,15 +162,9 @@ def test_hilb_count_quartic(capsys):
 
 
 def test_hilb_count_reports_a_census_mismatch(monkeypatch, capsys):
-    classify = hilb.classify_config
-    # every vertex filed under a family of the wrong dimension
-    monkeypatch.setattr(
-        hilb,
-        "classify_config",
-        lambda c, points, model: "double point on one edge bundle"
-        if c == 1
-        else classify(c, points, model),
-    )
+    census = hilb.enumerate_cases
+    # the dimension-0 census lists the types of dimension 1
+    monkeypatch.setattr(hilb, "enumerate_cases", lambda model, k: census(model, k or 1))
     code = run(["hilb", "count", "quartic"])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
@@ -177,8 +172,10 @@ def test_hilb_count_reports_a_census_mismatch(monkeypatch, capsys):
     assert report["status"] == "fail"
     inconsistency = report["results"]["internal_inconsistency"]
     assert inconsistency["message"] == "case census and stable types disagree at dimension 0"
-    keys = inconsistency["diff"]["stable_type_counts"]["double point on one edge bundle"]
+    keys = inconsistency["diff"]["stable_not_listed"]
     assert len(keys) == 10 and keys == sorted(keys)
+    listed = inconsistency["diff"]["listed_not_stable"]
+    assert len(listed) == 45 and listed == sorted(listed)
     assert "f_vector" not in report["results"]
 
 
@@ -275,6 +272,22 @@ def builtin_file(**changes):
     return obj
 
 
+def test_all_edges_fails_when_shared_edges_disagree(tmp_path, capsys):
+    # shifting every piece of one face by a constant keeps that face strictly
+    # convex, but it no longer agrees with its neighbours on its three edges
+    face = builtin_file()["faces"][0]
+    assert face["name"] == "Y1,Y2,Y3"
+    pieces = [{**p, "b": str(Fraction(p["b"]) + 1)} for p in face["pieces"]]
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(builtin_file(pieces=pieces)))
+    argv = ["certify-projectivity", "--tau", "1/2", "--all-edges", "--certificates", str(path)]
+    code, report = invoke(argv, capsys)
+    assert code == 1 and report["status"] == "fail"
+    assert all(r["ok"] for r in report["results"]["faces"])
+    disagree = {tuple(r["edge"]) for r in report["results"]["edges"]["1/2"] if not r["equal"]}
+    assert disagree == {("Y1", "Y2"), ("Y1", "Y3"), ("Y2", "Y3")}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -333,6 +346,18 @@ def builtin_file(**changes):
             builtin_file(corners={"Y3": [float("inf"), "0"], "Y2": ["1", "0"], "Y1": ["1", "1"]}),
         ],
         ["certify-projectivity", "--certificates", builtin_file(roles=["Y1", "Y1", "Y3"])],
+        # an empty face list would check nothing; 0.1 and true are no exact fractions
+        ["certify-projectivity", "--certificates", {"faces": []}],
+        [
+            "certify-projectivity",
+            "--certificates",
+            builtin_file(pieces=[{**p, "b": 0.1} for p in builtin_file()["faces"][0]["pieces"]]),
+        ],
+        [
+            "certify-projectivity",
+            "--certificates",
+            builtin_file(corners={"Y3": ["0", "0"], "Y2": [True, "0"], "Y1": ["1", "1"]}),
+        ],
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):

@@ -141,9 +141,16 @@ def test_labeling_assignment_rejects_quartic():
 
 
 def test_single_triangle_pair_from_labeling():
-    from degex.models import find_3_labeling, make_surface_model
+    from degex.complexes import simplex_complex
+    from degex.models import SurfaceModel, find_3_labeling
 
-    disk = make_surface_model("disk", [("A", "B", "C")], require_closed=False)
+    disk = SurfaceModel(
+        "disk",
+        simplex_complex([("A", "B", "C")]),
+        ("A", "B", "C"),
+        (("A", "B"), ("A", "C"), ("B", "C")),
+        (("A", "B", "C"),),
+    )
     lab = find_3_labeling(disk)
     a = get_assignment(disk, "labeling")
     (f, s) = a.pairs[("A", "B", "C")]

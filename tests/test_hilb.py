@@ -1,3 +1,5 @@
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +23,6 @@ from degex.hilb import (
     ExpansionStructure,
     all_stable,
     build_pi,
-    classify_config,
     collapse_point,
     compare_with_reference,
     components_at_codim,
@@ -35,6 +36,7 @@ from degex.models import cube_model, get_model, quartic_model
 from oracles import (
     brute_force_stable,
     case_collapse_point,
+    classify_config,
     face_relation_signature,
     key_per_facet_cells,
     stable_type_count,
@@ -46,6 +48,13 @@ QUARTIC_BREAKDOWNS = {
     2: (10, 16, 48, 30, 6),
     3: (48, 72),
     4: (12, 36),
+}
+CUBE_BREAKDOWNS = {
+    0: (21,),
+    1: (48, 12, 24, 30, 12, 24),
+    2: (36, 48, 192, 132, 12),
+    3: (192, 288),
+    4: (24, 168),
 }
 
 
@@ -77,15 +86,27 @@ def test_quartic_case_breakdowns_match_proof():
 
 def test_cube_case_totals():
     m = cube_model()
+    for k, expected in CUBE_BREAKDOWNS.items():
+        assert tuple(n for _, n in enumerate_cases(m, k).cases) == expected
     totals = tuple(enumerate_cases(m, k).total() for k in range(5))
     # codimension-2 types: 150, not the claimed 120; the other entries agree
     assert totals == (21, 150, 420, 480, 192)
     assert euler_of_counts(totals) == 3
 
 
+@pytest.mark.parametrize("model", ["quartic", "cube"])
+def test_each_listed_type_classifies_into_the_family_that_lists_it(model):
+    surface = get_model(model)
+    for k in range(5):
+        for family, types in enumerate_cases(surface, k).families.items():
+            assert types
+            for points in types:
+                assert classify_config(k + 1, points, surface) == family, (k, points)
+
+
 def test_quartic_closure_f_vector_and_validation():
-    K, info = build_pi(quartic_model(), m=2)
-    assert tuple(info["f_vector"]) == REFERENCE_CP2_10_VERTEX
+    K, _ = build_pi(quartic_model(), m=2)
+    assert f_vector(K) == REFERENCE_CP2_10_VERTEX
     assert validate(K) == []
     assert len(K) == 333
     assert euler_characteristic(K) == 3
@@ -112,8 +133,9 @@ def test_hilb2_coreduces_to_one_critical_cell_in_each_even_degree():
 def test_quartic_hilb3_homology():
     # 13,444 cells: about 0.35 s to build and 0.06 s to coreduce on a 2-core x86
     # host, where the full boundary matrices take 3 s and 194 MB
-    K, info = build_pi(quartic_model(), m=3)
-    assert tuple(info["f_vector"]) == (20, 200, 1120, 3160, 4624, 3360, 960)
+    K, breakdowns = build_pi(quartic_model(), m=3)
+    assert breakdowns == []
+    assert f_vector(K) == (20, 200, 1120, 3160, 4624, 3360, 960)
     assert [M.cols for M in _morse_boundaries(K)] == [1, 0, 1, 0, 1, 0, 1]
     assert betti_numbers(K) == (1, 0, 1, 0, 1, 0, 1)
     assert h1_torsion(K) == []
@@ -127,16 +149,18 @@ def test_homology_report_targets_the_betti_numbers_of_cp_m():
 
 
 def test_cube_closure_f_vector():
-    K, info = build_pi(cube_model(), m=2)
-    assert tuple(info["f_vector"]) == (21, 150, 420, 480, 192)
+    K, breakdowns = build_pi(cube_model(), m=2)
+    assert f_vector(K) == (21, 150, 420, 480, 192)
+    assert breakdowns == [enumerate_cases(cube_model(), k) for k in range(5)]
     assert validate(K) == []
     assert euler_characteristic(K) == 3
 
 
 def test_m1_reproduces_the_spheres():
     for model in (quartic_model(), cube_model()):
-        K, info = build_pi(model, m=1)
-        assert tuple(info["f_vector"]) == tuple(f_vector(model.sphere))
+        K, breakdowns = build_pi(model, m=1)
+        assert breakdowns == []
+        assert f_vector(K) == f_vector(model.sphere)
         assert validate(K) == []
         assert betti_numbers(K) == (1, 0, 1)
         # identical face structure, not just equal counts
@@ -270,21 +294,28 @@ def test_face_maps_contract_a_segment_of_the_subdivision(model):
                 assert collapse_point(comps[cid], i, n + 1, structure) == comps2[image]
 
 
-def test_a_census_mismatch_lists_the_sorted_keys_per_family(monkeypatch):
+def test_a_census_mismatch_lists_the_sorted_keys_on_each_side(monkeypatch):
     model = quartic_model()
-    classify = hilb.classify_config
+    census = hilb.enumerate_cases
     double_point = (("E", ("Y1", "Y2"), 1), ("E", ("Y1", "Y2"), 1))
-    assert classify(2, double_point, model) == "double point on one edge bundle"
+    not_stable = (("Y", "Y1"), ("Y", "Y2"))
+    assert double_point in census(model, 1).families["double point on one edge bundle"]
+    disjoint = census(model, 1).families["bundles over disjoint edges"]
 
-    def misfiled(c, points, surface):
-        if (c, points) == (2, double_point):
-            return "bundles over disjoint edges"
-        return classify(c, points, surface)
+    def miscounted(surface, k):
+        breakdown = census(surface, k)
+        if k != 1:
+            return breakdown
+        families = dict(breakdown.families)
+        # listed first, so that an unsorted diff would show
+        families["edge bundles meeting one corner"] = [not_stable] + families[
+            "edge bundles meeting one corner"
+        ]
+        # the double point a second time, and no disjoint pair
+        families["bundles over disjoint edges"] = [double_point]
+        return replace(breakdown, families=families)
 
-    expected: dict[str, list[str]] = {}
-    for points in all_stable(structure_for(model), 2):
-        expected.setdefault(misfiled(2, points, model), []).append(type_key(2, points))
-    monkeypatch.setattr(hilb, "classify_config", misfiled)
+    monkeypatch.setattr(hilb, "enumerate_cases", miscounted)
     # types generated in key order would hide an unsorted diff
     generate = hilb.all_stable
     monkeypatch.setattr(hilb, "all_stable", lambda *args: generate(*args)[::-1])
@@ -292,10 +323,11 @@ def test_a_census_mismatch_lists_the_sorted_keys_per_family(monkeypatch):
         build_pi(model, m=2)
     diff = exc.value.diff
     assert diff["dimension"] == 1
-    assert diff["case_counts"] == dict(enumerate_cases(model, 1).cases)
-    assert diff["stable_type_counts"] == {fam: sorted(keys) for fam, keys in expected.items()}
-    assert type_key(2, double_point) in diff["stable_type_counts"]["bundles over disjoint edges"]
-    assert len(diff["stable_type_counts"]["double point on one edge bundle"]) == 5
+    assert diff["case_counts"] == dict(miscounted(model, 1).cases)
+    assert diff["case_counts"]["bundles over disjoint edges"] == 1
+    assert diff["listed_not_stable"] == [type_key(2, double_point), type_key(2, not_stable)]
+    assert diff["stable_not_listed"] == sorted(type_key(2, t) for t in disjoint)
+    assert len(diff["stable_not_listed"]) == 3
 
 
 def test_codim5_is_deepest():
@@ -328,13 +360,11 @@ def test_stable_type_counts_match_the_closed_form(model, m):
 
 def test_same_corner_deep_types_are_three_per_corner():
     m = quartic_model()
-    K, info = build_pi(m, m=2)
-    same_corner = [
-        c
-        for c in K.cells_of_dim(4)
-        if classify_config(5, _points_from_key(c.id), m) == "two splittings of one corner"
-    ]
+    K, _ = build_pi(m, m=2)
+    same_corner = enumerate_cases(m, 4).families["two splittings of one corner"]
     assert len(same_corner) == 12  # three stable splittings on each corner
+    assert Counter(a[1] for a, _ in same_corner) == {t: 3 for t in m.triangles}
+    assert {type_key(5, points) for points in same_corner} <= {c.id for c in K.cells_of_dim(4)}
 
 
 def _points_from_key(key: str):
@@ -406,7 +436,7 @@ def test_symmetry_equivariance_on_cube():
     # swapping the two components of one coordinate pair preserves the
     # labeling and the assignment, so it permutes cells of every dimension
     m = cube_model()
-    K, info = build_pi(m, m=2)
+    K, _ = build_pi(m, m=2)
     swap = {"Y1": "Y2", "Y2": "Y1"}
     sigma = lambda v: swap.get(v, v)
 

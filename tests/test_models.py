@@ -1,8 +1,16 @@
 import random
 from itertools import combinations, product
 
-from degex.complexes import euler_characteristic, f_vector, validate
-from degex.models import cube_model, find_3_labeling, make_surface_model, quartic_model
+import pytest
+
+from degex.complexes import euler_characteristic, f_vector, simplex_complex, validate
+from degex.models import (
+    SurfaceModel,
+    cube_model,
+    find_3_labeling,
+    make_surface_model,
+    quartic_model,
+)
 
 from oracles import labeling_is_valid
 
@@ -62,8 +70,26 @@ def test_quartic_has_no_labeling_exhaustive():
         assert not labeling_is_valid(m, lab)
 
 
+def test_make_surface_model_rejects_an_open_or_non_spherical_surface():
+    with pytest.raises(ValueError, match=r"edge \('A', 'B'\) has 1 coface triangles"):
+        make_surface_model("disk", [("A", "B", "C")])
+    # the 7-vertex torus: every edge has two coface triangles, and chi = 0
+    names = [f"Y{i}" for i in range(7)]
+    torus = [
+        (names[i], names[(i + a) % 7], names[(i + 3) % 7]) for i in range(7) for a in (1, 2)
+    ]
+    with pytest.raises(ValueError, match="model torus: Euler characteristic != 2"):
+        make_surface_model("torus", torus)
+
+
 def test_single_triangle_disk_labeling():
-    disk = make_surface_model("disk", [("A", "B", "C")], require_closed=False)
+    disk = SurfaceModel(
+        "disk",
+        simplex_complex([("A", "B", "C")]),
+        ("A", "B", "C"),
+        (("A", "B"), ("A", "C"), ("B", "C")),
+        (("A", "B", "C"),),
+    )
     lab = find_3_labeling(disk)
     assert lab is not None
     assert sorted(lab.values()) == [1, 2, 3]
