@@ -120,6 +120,15 @@ def test_certify_projectivity_custom_tau(capsys):
     assert {f["tau"] for f in report["results"]["faces"]} == {"1/3", "2/3"}
 
 
+def test_certify_projectivity_checks_each_tau_once(capsys):
+    argv = ["certify-projectivity", "--tau", "1/2", "--tau", "2/4", "--all-edges"]
+    code, report = invoke(argv, capsys)
+    assert code == 0
+    assert len(report["results"]["faces"]) == 4
+    assert report["inputs"]["tau"] == ["1/2"]
+    assert list(report["results"]["edges"]) == ["1/2"]
+
+
 def test_charts_verify(capsys):
     code, report = invoke(
         ["charts", "verify", "--n", "1", "--samples", "50", "--seed", "1", "--pairs", "10"],
@@ -161,22 +170,33 @@ def test_hilb_count_quartic(capsys):
     assert [b["total"] for b in res["breakdowns"]] == [10, 45, 110, 120, 48]
 
 
-def test_hilb_count_reports_a_census_mismatch(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilb", "count", "quartic"],
+        ["hilb", "homology", "quartic"],
+        ["export", "pi-quartic", "--format", "json", "-o", "pi.json"],
+    ],
+    ids=["hilb-count", "hilb-homology", "export"],
+)
+def test_hilb_count_reports_a_census_mismatch(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     census = hilb.enumerate_cases
     # the dimension-0 census lists the types of dimension 1
     monkeypatch.setattr(hilb, "enumerate_cases", lambda model, k: census(model, k or 1))
-    code = run(["hilb", "count", "quartic"])
+    code = run(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     report = json.loads(captured.out)
     assert report["status"] == "fail"
+    assert list(report["results"]) == ["internal_inconsistency"]
+    assert not (tmp_path / "pi.json").exists()
     inconsistency = report["results"]["internal_inconsistency"]
     assert inconsistency["message"] == "case census and stable types disagree at dimension 0"
     keys = inconsistency["diff"]["stable_not_listed"]
     assert len(keys) == 10 and keys == sorted(keys)
     listed = inconsistency["diff"]["listed_not_stable"]
     assert len(listed) == 45 and listed == sorted(listed)
-    assert "f_vector" not in report["results"]
 
 
 def test_hilb_count_cube_flagged(capsys):
@@ -272,6 +292,12 @@ def builtin_file(**changes):
     return obj
 
 
+def face_sharing_one_corner():
+    """The built-in face Y1,Y2,Y3 with Y2 and Y3 renamed Y5 and Y6."""
+    text = json.dumps(builtin_file()["faces"][0])
+    return json.loads(text.replace('"Y2"', '"Y5"').replace('"Y3"', '"Y6"'))
+
+
 def test_all_edges_fails_when_shared_edges_disagree(tmp_path, capsys):
     # shifting every piece of one face by a constant keeps that face strictly
     # convex, but it no longer agrees with its neighbours on its three edges
@@ -358,6 +384,15 @@ def test_all_edges_fails_when_shared_edges_disagree(tmp_path, capsys):
             "--certificates",
             builtin_file(corners={"Y3": ["0", "0"], "Y2": [True, "0"], "Y1": ["1", "1"]}),
         ],
+        # --all-edges must compare at least one edge
+        ["certify-projectivity", "--all-edges", "--certificates",
+         {"faces": builtin_file()["faces"][:1]}],
+        ["certify-projectivity", "--all-edges", "--certificates",
+         {"faces": builtin_file()["faces"][:1] + [face_sharing_one_corner()]}],
+        ["expand", "quartic", "--n", "2", "--params", "1/3,,2/3"],
+        ["expand", "quartic", "--n", "2", "--params", ",1/3,2/3,"],
+        # at depth 0 every chart check holds by construction
+        ["charts", "verify", "--n", "0"],
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
