@@ -61,7 +61,7 @@ _COMMAND_PARTS = ("command", "charts_command", "hilb_command")
 def _parse_params(raw: str | None):
     if raw is None:
         return None
-    return [parse_fraction(part) for part in raw.split(",")]
+    return [parse_fraction(part, "argument --params") for part in raw.split(",")]
 
 
 def _integer(text: str) -> int:
@@ -81,6 +81,8 @@ def _positive_int(text: str) -> int:
 
 def _depth(text: str) -> int:
     value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative depth, got {value}")
     if value > MAX_DEPTH:
         raise argparse.ArgumentTypeError(
             f"expected a depth of at most {MAX_DEPTH}, got {value}"
@@ -156,7 +158,8 @@ def cmd_certify(args) -> tuple[dict, str]:
             certs = certificates_from_json(fh.read())
     else:
         certs = builtin_certificates()
-    taus = list(dict.fromkeys(parse_fraction(s) for s in args.tau or DEFAULT_TAUS))
+    parsed = (parse_fraction(s, "argument --tau") for s in args.tau or DEFAULT_TAUS)
+    taus = list(dict.fromkeys(parsed))
     args.tau = [str(t) for t in taus]  # the report echoes the taus checked
     face_results = [check_strict_convexity(cert, tau) for cert in certs for tau in taus]
     face_results.sort(key=lambda r: (r.face, r.tau))

@@ -328,45 +328,26 @@ def export(K: DeltaComplex, format: str) -> bytes:
 def simplex_complex(triangles) -> DeltaComplex:
     """Build the delta-complex of a set of triangles given as vertex triples.
 
-    Vertices are identified by name; edges are the canonical sorted pairs.
-    Orientations use the sorted-vertex convention, so the composed boundary
-    vanishes by construction.
+    Vertices are identified by name; edges are the sorted pairs.  Orientations
+    use the sorted-vertex convention, so the composed boundary vanishes by
+    construction.  A repeated triangle is refused.
     """
-    verts: dict[str, Cell] = {}
-    edges: dict[tuple[str, str], Cell] = {}
-    cells: list[Cell] = []
+    cells: dict[str, Cell] = {}
 
-    def vertex(name: str) -> str:
-        vid = f"v:{name}"
-        if vid not in verts:
-            verts[vid] = Cell(vid, 0, name)
-        return vid
+    def face(cid: str, dim: int, label: str, faces=()) -> str:
+        if cid not in cells:
+            cells[cid] = Cell(cid, dim, label, faces)
+        return cid
 
-    def edge(a: str, b: str) -> str:
-        key = tuple(sorted((a, b)))
-        eid = f"e:{key[0]}|{key[1]}"
-        if key not in edges:
-            edges[key] = Cell(
-                eid,
-                1,
-                f"{key[0]}-{key[1]}",
-                ((vertex(key[1]), 1), (vertex(key[0]), -1)),
-            )
-        return eid
+    def edge(a: str, b: str) -> str:  # a < b
+        ends = (face(f"v:{b}", 0, b), 1), (face(f"v:{a}", 0, a), -1)
+        return face(f"e:{a}|{b}", 1, f"{a}-{b}", ends)
 
-    tri_cells = []
     for tri in triangles:
         a, b, c = sorted(tri)
         tid = f"t:{a}|{b}|{c}"
-        tri_cells.append(
-            Cell(
-                tid,
-                2,
-                f"{a}-{b}-{c}",
-                ((edge(b, c), 1), (edge(a, c), -1), (edge(a, b), 1)),
-            )
-        )
-    cells.extend(verts.values())
-    cells.extend(edges.values())
-    cells.extend(tri_cells)
-    return DeltaComplex(cells)
+        if tid in cells:
+            raise ValueError(f"duplicate cell id {tid}")
+        faces = (edge(b, c), 1), (edge(a, c), -1), (edge(a, b), 1)
+        cells[tid] = Cell(tid, 2, f"{a}-{b}-{c}", faces)
+    return DeltaComplex(cells.values())

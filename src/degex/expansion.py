@@ -22,27 +22,36 @@ the side's distinguished endpoint, levels 0 and n+1 being the endpoints
 The node census, each node's levels and the segment symbols derive from the
 level lists: segment t_l runs from level l-1 to level l.  A node that only
 the neighbouring triangle places on a shared edge is a foreign point and
-sits between two consecutive levels.  Grid point (a, b), 0 <= a <= b <= n+1,
-is where the level-a chord parallel to S-T meets the level-b chord parallel
-to F-T (levels 0 and n+1 being the sides themselves).  `grid_side` is the
-one classifier of grid points, used by `subdivide` and by the Hilbert-square
+sits between two consecutive levels.  Foreign points occur only where the
+two sides of an edge disagree on its distinguished endpoint, that is for
+assignments that do not glue, and not even there when the positions are
+symmetric under P -> 1 - P.  Grid point (a, b), 0 <= a <= b <= n+1, is
+where the level-a chord parallel to S-T meets the level-b chord parallel to
+F-T (levels 0 and n+1 being the sides themselves).  `grid_side` is the one
+classifier of grid points, used by `subdivide` and by the Hilbert-square
 face maps: the point lies on the F-S edge when a = b, on the S-T edge when
 a = 0, on the F-T edge when b = n+1, and is otherwise the corner box (a, b).
+
 Grid region (i, j), 0 <= i <= j <= n, is a triangle along F-S when i = j
-and a quadrilateral otherwise, with the foreign points inserted along its
-sides on the base edges.  Regions are recorded as polygonal vertex cycles;
-the delta-complex view star triangulates every region from an auxiliary
-center vertex, which preserves the closed-surface invariants.  Its 1-cells
-are the sides of the region cycles (chord pieces and atomic segments of the
-base edges) and the spokes to the centers, each made once.
+and a quadrilateral otherwise.  `subdivide` walks the regions in order,
+each as the cycle (i, j+1) -> (i+1, j+1) -> [(i+1, j) when i < j] -> (i, j),
+and makes every cell once, where the walk first meets it.  By `grid_side`
+three sides of these cycles lie on base edges: (i, n+1) -> (i+1, n+1) on
+F-T when j = n, (i+1, i+1) -> (i, i) on F-S when i = j, and (0, j) ->
+(0, j+1) on S-T when i = 0; the foreign points are inserted along those.
+Regions are recorded as polygonal vertex cycles; the delta-complex view star
+triangulates every region from an auxiliary center vertex, which preserves
+the closed-surface invariants.  Its 1-cells are the sides of the region
+cycles (chord pieces and atomic segments of the base edges) and the spokes
+to the centers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Cell, DeltaComplex
-from .models import SurfaceModel, edge_key
+from .complexes import Cell, DeltaComplex, euler_characteristic, f_vector
+from .models import SurfaceModel, edge_key, find_3_labeling
 
 Pair = tuple[str, str]
 
@@ -140,8 +149,6 @@ LABEL_ORDER = (1, 3, 2)
 
 
 def get_assignment(model: SurfaceModel, kind: str) -> BlowupAssignment:
-    from .models import find_3_labeling
-
     if kind == "default":
         if model.name != "quartic":
             raise ValueError("the default assignment is defined for the quartic model")
@@ -293,24 +300,16 @@ def subdivide(
             model, assignment, 0, P, model.sphere, regions, [], [], {}, {}, {}
         )
 
-    cells: dict[str, Cell] = {}
-
-    def add_cell(cell: Cell):
-        if cell.id not in cells:
-            cells[cell.id] = cell
+    cells: dict[str, Cell] = {_vid(v): Cell(_vid(v), 0, v) for v in model.vertices}
 
     def pair_cell(a: str, b: str) -> str:
         """The 1-cell joining vertices a and b, keyed canonically."""
         lo, hi = sorted((a, b))
         eid = f"E[{lo}][{hi}]"
         if eid not in cells:
-            add_cell(
-                Cell(eid, 1, f"{cells[lo].label} / {cells[hi].label}", ((hi, 1), (lo, -1)))
-            )
+            label = f"{cells[lo].label} / {cells[hi].label}"
+            cells[eid] = Cell(eid, 1, label, ((hi, 1), (lo, -1)))
         return eid
-
-    for v in model.vertices:
-        add_cell(Cell(_vid(v), 0, v))
 
     # ---- one level list per edge side --------------------------------------
     # level k of a side sits at P_k from its distinguished endpoint (levels 0
@@ -322,7 +321,7 @@ def subdivide(
     edge_census: dict = {}
     edge_nodes = []
     colored_segments: dict = {}
-    lines: dict = {}  # (edge, triangle) -> (edge points, index there of each level)
+    lines: dict = {}  # (edge, triangle) -> (edge point ids, index there of each level)
     for e in sorted(distinguished):
         sides = {
             tri: ladder if dist == e[0] else reversed_ladder
@@ -336,120 +335,86 @@ def subdivide(
         pts = [(Fraction(0), _vid(e[0]))]
         for pos, levels in sorted(nodes.items()):
             nid = f"x:{e[0]}|{e[1]}@{pos}"
-            add_cell(Cell(nid, 0, f"{e[0]}-{e[1]} node at {pos}"))
+            cells[nid] = Cell(nid, 0, f"{e[0]}-{e[1]} node at {pos}")
             edge_nodes.append(EdgeNode(e, pos, nid, levels))
             pts.append((pos, nid))
         pts.append((Fraction(1), _vid(e[1])))
+        ids = [vid for _, vid in pts]
         index = {pos: i for i, (pos, _) in enumerate(pts)}
+        segments = [(pair_cell(a, b), str(pb - pa)) for (pa, a), (pb, b) in zip(pts, pts[1:])]
         for tri, levels in sides.items():
             edge_census.setdefault(e, {})[tri] = tuple(sorted(zip(levels[1:-1], range(1, n + 1))))
             at = [index[pos] for pos in levels]
-            lines[e, tri] = pts, at
+            lines[e, tri] = ids, at
             # segment t_l runs from level l-1 to level l, across any foreign
             # nodes between them
-            symbols = [0] * (len(pts) - 1)
+            symbols = [0] * len(segments)
             for l in range(1, n + 2):
                 lo, hi = sorted(at[l - 1 : l + 1])
                 symbols[lo:hi] = [l] * (hi - lo)
             colored_segments.setdefault(e, {})[tri] = tuple(
-                {
-                    "segment": pair_cell(a, b),
-                    "symbol": k,
-                    "color": color_name(k),
-                    "length": str(pb - pa),
-                }
-                for k, (pa, a), (pb, b) in zip(symbols, pts, pts[1:])
+                {"segment": sid, "symbol": k, "color": color_name(k), "length": length}
+                for k, (sid, length) in zip(symbols, segments)
             )
 
+    # ---- one walk of each triangle's level grid ----------------------------
     boxes = []
-    box_id: dict[tuple[tuple, int, int], str] = {}
-    for tri in model.triangles:
-        tkey = "|".join(tri)
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                bid = f"b:{tkey}#{j},{k}"
-                box_id[(tri, j, k)] = bid
-                add_cell(Cell(bid, 0, f"box({j},{k}) in {'-'.join(tri)}"))
-                boxes.append(CornerBox(tri, (j, k), bid))
-
-    # ---- per-triangle geometry on the level grid ---------------------------
     regions: list[Region] = []
-
     for tri in model.triangles:
+        tkey, name = "|".join(tri), "-".join(tri)
         role_lines = {r: lines[e, tri] for r, (e, _) in edge_roles(assignment, tri).items()}
-
-        def side_point(r: str, k: int) -> str:
-            pts, at = role_lines[r]
-            return pts[at[k]][1]
 
         def point(a: int, b: int) -> str:
             """Vertex id of grid point (a, b)."""
             side = grid_side(a, b, n)
-            return box_id[(tri, a, b)] if side is None else side_point(*side)
+            if side is None:
+                return f"b:{tkey}#{a},{b}"
+            ids, at = role_lines[side[0]]
+            return ids[at[side[1]]]
 
-        def foreign(p, q) -> list[str]:
-            """Vertex ids strictly between grid points p and q when both lie
-            on one base edge: the nodes only the neighbouring triangle puts
-            there, in the p -> q direction."""
-            if p[0] == q[0] == 0:
-                r, lp, lq = "ST", p[1], q[1]
-            elif p[1] == q[1] == n + 1:
-                r, lp, lq = "FT", p[0], q[0]
-            elif p[0] == p[1] and q[0] == q[1]:
-                r, lp, lq = "FS", p[0], q[0]
-            else:
-                return []
-            pts, at = role_lines[r]
-            ip, iq = at[lp], at[lq]
-            run = pts[min(ip, iq) + 1 : max(ip, iq)]
-            return [vid for _, vid in (run if ip < iq else reversed(run))]
+        def between(r: str, l0: int, l1: int) -> list[str]:
+            """Vertex ids strictly between levels l0 and l1 of base edge r, in
+            the l0 -> l1 direction: the nodes only the neighbouring triangle
+            puts there."""
+            ids, at = role_lines[r]
+            p, q = at[l0], at[l1]
+            return ids[p + 1 : q] if p < q else ids[p - 1 : q : -1]
 
-        # grid regions (i, j) with 0 <= i <= j <= n
-        for i in range(0, n + 1):
+        for i in range(n + 1):
             for j in range(i, n + 1):
-                corners = [(i, j + 1), (i + 1, j + 1)]
+                if i < j < n:
+                    # the walk meets the box (i+1, j+1) first as this region's corner
+                    bid = point(i + 1, j + 1)
+                    cells[bid] = Cell(bid, 0, f"box({i + 1},{j + 1}) in {name}")
+                    boxes.append(CornerBox(tri, (i + 1, j + 1), bid))
+                cycle = [point(i, j + 1)]
+                if j == n:
+                    cycle += between("FT", i, i + 1)
+                cycle.append(point(i + 1, j + 1))
                 if i < j:
-                    corners.append((i + 1, j))
-                corners.append((i, j))
-                cycle: list[str] = []
-                for p, q in zip(corners, corners[1:] + corners[:1]):
-                    cycle.append(point(*p))
-                    cycle.extend(foreign(p, q))
+                    cycle.append(point(i + 1, j))
+                else:
+                    cycle += between("FS", i + 1, i)
+                cycle.append(point(i, j))
+                if i == 0:
+                    cycle += between("ST", j, j + 1)
                 regions.append(Region(tri, (i, j), tuple(cycle)))
+                # star triangulation from the region's center
+                cid = f"c:{tkey}#{i},{j}"
+                cells[cid] = Cell(cid, 0, f"center {(i, j)} in {name}")
+                label = f"piece of {(i, j)} in {name}"
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    s0, s1, s2 = sorted((cid, a, b))
+                    tid = f"T[{s0}][{s1}][{s2}]"
+                    faces = (pair_cell(s1, s2), 1), (pair_cell(s0, s2), -1), (pair_cell(s0, s1), 1)
+                    cells[tid] = Cell(tid, 2, label, faces)
 
-    # ---- star triangulation of every region --------------------------------
-    two_cells: list[Cell] = []
-    for r in regions:
-        tkey = "|".join(r.triangle)
-        cid = f"c:{tkey}#{r.grid[0]},{r.grid[1]}"
-        add_cell(Cell(cid, 0, f"center {r.grid} in {'-'.join(r.triangle)}"))
-        m = len(r.boundary)
-        for idx in range(m):
-            a, b = r.boundary[idx], r.boundary[(idx + 1) % m]
-            pair_cell(cid, a)
-            s0, s1, s2 = sorted((cid, a, b))
-            two_cells.append(
-                Cell(
-                    f"T[{s0}][{s1}][{s2}]",
-                    2,
-                    f"piece of {r.grid} in {'-'.join(r.triangle)}",
-                    (
-                        (pair_cell(s1, s2), 1),
-                        (pair_cell(s0, s2), -1),
-                        (pair_cell(s0, s1), 1),
-                    ),
-                )
-            )
-    for c in two_cells:
-        add_cell(c)
-
-    complex_ = DeltaComplex(cells.values())
     return ExpandedComplex(
         model,
         assignment,
         n,
         P,
-        complex_,
+        DeltaComplex(cells.values()),
         regions,
         edge_nodes,
         boxes,
@@ -530,8 +495,6 @@ def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
 
 
 def expanded_complex_report(E: ExpandedComplex) -> dict:
-    from .complexes import euler_characteristic, f_vector
-
     return {
         "model": E.model.name,
         "level": E.level,

@@ -120,12 +120,16 @@ def certificate_from_json_obj(obj: dict) -> FaceCertificate:
     corners = _field(obj, "corners", "face certificate", dict)
     if not all(isinstance(c, list) and len(c) == 2 for c in corners.values()):
         raise ValueError("face certificate field 'corners' must map each vertex to a [c, q] pair")
-    corners = {k: (parse_fraction(a), parse_fraction(b)) for k, (a, b) in corners.items()}
+    where = "face certificate field 'corners'"
+    corners = {k: tuple(parse_fraction(x, where) for x in pair) for k, pair in corners.items()}
     if not all(0 <= q <= c <= 1 for c, q in corners.values()):
         raise ValueError("face certificate field 'corners' must lie in the face 0 <= q <= c <= 1")
     pieces = tuple(
         AffinePiece(
-            *(parse_fraction(_field(p, k, "affine piece")) for k in ("a_c", "a_q", "a_tau", "b"))
+            *(
+                parse_fraction(_field(p, k, "affine piece"), f"affine piece field {k!r}")
+                for k in ("a_c", "a_q", "a_tau", "b")
+            )
         )
         for p in _field(obj, "pieces", "face certificate", list)
     )

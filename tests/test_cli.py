@@ -393,6 +393,13 @@ def test_all_edges_fails_when_shared_edges_disagree(tmp_path, capsys):
         ["expand", "quartic", "--n", "2", "--params", ",1/3,2/3,"],
         # at depth 0 every chart check holds by construction
         ["charts", "verify", "--n", "0"],
+        ["certify-projectivity", "--tau", "abc"],
+        ["expand", "quartic", "--n", "-1"],
+        [
+            "certify-projectivity",
+            "--certificates",
+            builtin_file(corners={"Y3": ["0", "0"], "Y2": ["1", "x"], "Y1": ["1", "1"]}),
+        ],
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -408,6 +415,10 @@ def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     # argparse names a type function in its message; none may be private
     assert " _" not in captured.err
+    # the message names where the bad input came from: an option, or a field
+    # of the certificates file
+    options = [arg for arg in argv if arg.startswith("--")]
+    assert "field" in captured.err or any(option in captured.err for option in options)
 
 
 @pytest.mark.parametrize(

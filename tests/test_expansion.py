@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from degex.complexes import euler_characteristic, validate
+from degex.complexes import betti_numbers, euler_characteristic, h1_torsion, validate
 from degex.expansion import (
     BlowupAssignment,
     assignment_from_order,
@@ -253,6 +253,25 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
     }
     assert len(orders) == 24
     assert gluing == orders
+
+
+def test_foreign_nodes_keep_their_order_along_a_region_side():
+    # at these positions a side whose distinguished endpoint differs from its
+    # neighbour's has three foreign nodes between its levels 3 and 4; a region
+    # cycle that lists them in the wrong order no longer closes up a sphere
+    positions = (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))
+    rng = random.Random(19)
+    for m in (quartic_model(), cube_model()):
+        with_foreign_nodes = 0
+        for _ in range(40):
+            assignment = BlowupAssignment({t: tuple(rng.sample(t, 2)) for t in m.triangles})
+            E = subdivide(m, assignment, 3, positions=positions)
+            with_foreign_nodes += any(len(node.levels) == 1 for node in E.edge_nodes)
+            assert validate(E.cells) == []
+            assert euler_characteristic(E.cells) == 2
+            assert betti_numbers(E.cells) == (1, 0, 1)
+            assert h1_torsion(E.cells) == []
+        assert with_foreign_nodes == 40
 
 
 def test_sampled_cube_vertex_orders_glue_and_are_torus_compatible():

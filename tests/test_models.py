@@ -80,6 +80,12 @@ def test_make_surface_model_rejects_an_open_or_non_spherical_surface():
     ]
     with pytest.raises(ValueError, match="model torus: Euler characteristic != 2"):
         make_surface_model("torus", torus)
+    # a repeated triangle, in any vertex order, is one cell id twice
+    repeated = [*combinations("ABCD", 3), ("C", "B", "A")]
+    with pytest.raises(ValueError, match=r"duplicate cell id t:A\|B\|C"):
+        make_surface_model("repeated", repeated)
+    with pytest.raises(ValueError, match=r"duplicate cell id t:A\|B\|C"):
+        simplex_complex([("A", "B", "C"), ("C", "B", "A")])
 
 
 def test_single_triangle_disk_labeling():
