@@ -48,8 +48,8 @@ _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "flagged": EXIT_FLAGGED}
 
 # `expand` time and memory grow about 4x per doubling of n (subdividing and
 # checking the cube at n = 96 takes 2.4 s and 352 MB on a 2-core x86 host),
-# and `charts verify` with its default 1000 samples takes 1.1 s at n = 64, so
-# deeper ones are refused up front
+# and `charts verify` with its default 1000 samples takes 0.6 s at n = 64 on
+# one CPU of that host, so deeper ones are refused up front
 MAX_DEPTH = 64
 
 DEFAULT_TAUS = ("1/10", "1/4", "1/2", "3/4", "9/10")

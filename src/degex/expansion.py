@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Cell, DeltaComplex, euler_characteristic, f_vector
+from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector
 from .models import SurfaceModel, edge_key, find_3_labeling
 
 Pair = tuple[str, str]
@@ -495,12 +495,13 @@ def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
 
 
 def expanded_complex_report(E: ExpandedComplex) -> dict:
+    counts = list(f_vector(E.cells))
     return {
         "model": E.model.name,
         "level": E.level,
         "positions": [str(p) for p in E.positions],
-        "f_vector": list(f_vector(E.cells)),
-        "euler_characteristic": euler_characteristic(E.cells),
+        "f_vector": counts,
+        "euler_characteristic": euler_of_counts(counts),
         "edge_nodes": [
             {
                 "edge": list(node.edge),

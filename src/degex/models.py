@@ -14,6 +14,7 @@ from itertools import combinations
 from .complexes import (
     DeltaComplex,
     euler_characteristic,
+    euler_of_counts,
     f_vector,
     simplex_complex,
     validate,
@@ -168,10 +169,11 @@ def find_3_labeling(model: SurfaceModel) -> Labeling3 | None:
 
 
 def model_report(model: SurfaceModel) -> dict:
+    counts = list(f_vector(model.sphere))
     report = {
         "name": model.name,
-        "f_vector": list(f_vector(model.sphere)),
-        "euler_characteristic": euler_characteristic(model.sphere),
+        "f_vector": counts,
+        "euler_characteristic": euler_of_counts(counts),
     }
     if model.metadata is not None:
         report["resolved_singularities"] = model.metadata.resolved_singularities

@@ -3,6 +3,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, compress
 from math import comb, gcd, prod
+from random import Random
 
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -348,14 +349,70 @@ def stable_type_count(model, c: int, m: int) -> int:
     return total
 
 
+# the sampler's table as Fractions: a/b for every nonzero a in -9..9 and b in
+# 1..9, in the same order, repeats kept
+FRACTION_TABLE = tuple(Fraction(a, b) for a in range(-9, 10) if a for b in range(1, 10))
+
+
+def fraction_point(p: ChartPoint) -> ChartPoint:
+    """p with each integer pair (num, den) replaced by Fraction(num, den)."""
+    def value(pair):
+        return Fraction(*pair)
+
+    return ChartPoint(
+        value(p.x),
+        value(p.y),
+        value(p.z),
+        tuple(map(value, p.t)),
+        tuple((value(a), value(b)) for a, b in p.xs),
+        tuple((value(a), value(b)) for a, b in p.ys),
+    )
+
+
+def fraction_sample(n: int, seed: int, rng: Random | None = None) -> ChartPoint:
+    """The chart sampler in Fraction arithmetic, drawing from the same table
+    with the same rng calls: a ChartPoint whose entries are Fractions."""
+    rng = rng or Random(f"chart:{n}:{seed}")
+    x = rng.choice(FRACTION_TABLE)
+    z = rng.choice(FRACTION_TABLE)
+    t = tuple(rng.choice(FRACTION_TABLE) for _ in range(n + 1))
+    y = prod(t, start=Fraction(1)) / (x * z)
+    xs = []
+    ys = []
+    for k in range(1, n + 1):
+        alpha = rng.choice(FRACTION_TABLE)
+        xs.append((alpha * x, alpha * prod(t[:k])))
+        beta = rng.choice(FRACTION_TABLE)
+        ys.append((beta * y, beta * prod(t[n + 1 - k :])))
+    return ChartPoint(x, y, z, t, tuple(xs), tuple(ys))
+
+
+def fraction_act(taus: tuple[Fraction, ...], p: ChartPoint) -> ChartPoint:
+    """The torus action in Fraction arithmetic on a Fraction point: t_i
+    scales by tau_i / tau_{i-1} (tau_0 = tau_{n+1} = 1), the k-th x-pair's
+    second entry by tau_k and the j-th y-pair's first entry by tau_{n+1-j}."""
+    n = p.depth
+    scale = (Fraction(1), *taus, Fraction(1))
+    t = tuple(scale[i + 1] / scale[i] * p.t[i] for i in range(n + 1))
+    xs = tuple((x0, taus[k] * x1) for k, (x0, x1) in enumerate(p.xs))
+    ys = tuple((taus[n - j] * y0, y1) for j, (y0, y1) in enumerate(p.ys, start=1))
+    return ChartPoint(p.x, p.y, p.z, t, xs, ys)
+
+
 def chart_equation_residuals(p: ChartPoint) -> dict[str, Fraction]:
-    """Exact residual lhs - rhs of every defining chart relation at p, in
-    Fraction arithmetic (all vanish on the chart)."""
+    """Exact residual lhs - rhs of every defining chart relation at the
+    integer-pair point p, in Fraction arithmetic (all vanish on the chart)."""
+    p = fraction_point(p)
     n = p.depth
     res: dict[str, Fraction] = {}
     if n == 0:
         return res
     res["x(1)"] = p.xs[0][0] * p.t[0] - p.x * p.xs[0][1]
+    for k in range(2, n + 1):
+        res[f"x-chain({k})"] = (
+            p.xs[k - 2][1] * p.xs[k - 1][0] * p.t[k - 1] - p.xs[k - 2][0] * p.xs[k - 1][1]
+        )
+    res["x(n)-closure"] = p.xs[n - 1][0] * p.y * p.z - p.xs[n - 1][1] * p.t[n]
     res["y(1)"] = p.ys[0][0] * p.t[n] - p.y * p.ys[0][1]
     for k in range(2, n + 1):
         res[f"y-chain({k})"] = (
@@ -371,7 +428,8 @@ def chart_equation_residuals(p: ChartPoint) -> dict[str, Fraction]:
 
 
 def product_identity_residual(p: ChartPoint) -> Fraction:
-    """x y z - t_1...t_{n+1} in Fraction arithmetic."""
+    """x y z - t_1...t_{n+1} at the integer-pair point p, in Fraction arithmetic."""
+    p = fraction_point(p)
     return p.x * p.y * p.z - prod(p.t, start=Fraction(1))
 
 

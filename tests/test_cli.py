@@ -144,7 +144,8 @@ def test_charts_verify_fails_on_a_point_off_the_chart(monkeypatch, capsys):
 
     def perturbed(*args, **kwargs):
         p = sample(*args, **kwargs)
-        return ChartPoint(p.x, p.y, p.z, (p.t[0] + 1,) + p.t[1:], p.xs, p.ys)
+        (num, den), rest = p.t[0], p.t[1:]
+        return ChartPoint(p.x, p.y, p.z, ((num + den, den),) + rest, p.xs, p.ys)
 
     monkeypatch.setattr(charts, "sample_chart_point", perturbed)
     code, report = invoke(
