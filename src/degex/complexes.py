@@ -4,6 +4,8 @@ Cells are not determined by their vertex sets; identifications are expressed
 purely through shared face ids.  Face signs follow the standard alternating
 convention on ordered face slots, which makes the composed-boundary check a
 mechanical one: for every cell the signed sum of faces-of-faces must vanish.
+A ``Cell`` is a plain record; ``DeltaComplex`` checks each cell's face signs
+once, when the complex is built, so ``from_json`` input is checked too.
 
 Homology comes from coreduction to the Morse complex, then exact rank and
 Smith normal form of its boundary: pairs of cells joined by a +-1
@@ -22,21 +24,16 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .linalg import IntMatrix, rank_over_rationals, smith_normal_form
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     id: str
     dim: int
     label: str
     faces: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self):
-        for _, sign in self.faces:
-            if sign not in (1, -1):
-                raise ValueError(f"cell {self.id}: face sign must be +1 or -1")
 
 
 def euler_of_counts(counts) -> int:
@@ -60,6 +57,9 @@ class DeltaComplex:
     def __init__(self, cells):
         self._cells: dict[str, Cell] = {}
         for cell in cells:
+            for _, sign in cell.faces:
+                if sign not in (1, -1):
+                    raise ValueError(f"cell {cell.id}: face sign must be +1 or -1")
             if cell.id in self._cells:
                 raise ValueError(f"duplicate cell id {cell.id}")
             self._cells[cell.id] = cell

@@ -39,11 +39,11 @@ and makes every cell once, where the walk first meets it.  By `grid_side`
 three sides of these cycles lie on base edges: (i, n+1) -> (i+1, n+1) on
 F-T when j = n, (i+1, i+1) -> (i, i) on F-S when i = j, and (0, j) ->
 (0, j+1) on S-T when i = 0; the foreign points are inserted along those.
-Regions are recorded as polygonal vertex cycles; the delta-complex view star
-triangulates every region from an auxiliary center vertex, which preserves
-the closed-surface invariants.  Its 1-cells are the sides of the region
-cycles (chord pieces and atomic segments of the base edges) and the spokes
-to the centers.
+Each cycle is star triangulated from an auxiliary center vertex, which
+preserves the closed-surface invariants, and is then dropped: only the
+count of regions per triangle is kept.  The 1-cells are the sides of the
+region cycles (chord pieces and atomic segments of the base edges) and the
+spokes to the centers.
 """
 from __future__ import annotations
 
@@ -130,18 +130,6 @@ def assignment_from_order(model: SurfaceModel, order) -> BlowupAssignment:
     return BlowupAssignment(pairs)
 
 
-def bad_quartic_assignment() -> BlowupAssignment:
-    """A seemingly symmetric choice that fails to glue along Y2-Y3."""
-    return BlowupAssignment(
-        {
-            ("Y1", "Y2", "Y3"): ("Y1", "Y2"),
-            ("Y1", "Y2", "Y4"): ("Y1", "Y2"),
-            ("Y1", "Y3", "Y4"): ("Y4", "Y3"),
-            ("Y2", "Y3", "Y4"): ("Y4", "Y3"),
-        }
-    )
-
-
 # the built-in assignments as vertex orders: the quartic's, and the order of
 # the labels of a 3-labeling (first = the label-1 corner, second = label 2)
 QUARTIC_ORDER = ("Y1", "Y4", "Y3", "Y2")
@@ -210,13 +198,6 @@ class CornerBox:
     cell_id: str
 
 
-@dataclass(frozen=True)
-class Region:
-    triangle: tuple[str, str, str]
-    grid: tuple[int, int]
-    boundary: tuple[str, ...]  # vertex cycle, corners plus subdivision points
-
-
 @dataclass
 class GluingReport:
     glues: bool
@@ -242,21 +223,14 @@ class ExpandedComplex:
     level: int
     positions: tuple[Fraction, ...]
     cells: DeltaComplex
-    regions: list[Region]
-    edge_nodes: list[EdgeNode]
+    edge_nodes: list[EdgeNode]  # sorted by edge, then by position along it
     boxes: list[CornerBox]
-    edge_census: dict  # edge -> {triangle key -> ((position from u, level), ...)}
+    regions_per_triangle: dict  # triangle key -> number of grid regions
     colored_segments: dict  # edge -> {triangle key -> (segment records, ...)}
     distinguished: dict  # edge -> {triangle key -> distinguished endpoint}
 
     def exceptional_vertex_count(self) -> int:
         return len(self.edge_nodes) + len(self.boxes)
-
-    def regions_per_triangle(self) -> dict:
-        counts: dict = {}
-        for r in self.regions:
-            counts[r.triangle] = counts.get(r.triangle, 0) + 1
-        return counts
 
 
 def _vid(name: str) -> str:
@@ -295,10 +269,8 @@ def subdivide(
         raise ValueError("subdivision depth must be nonnegative")
     P = default_positions(n) if positions is None else _check_positions(n, positions)
     if n == 0:
-        regions = [Region(t, (0, 0), tuple(_vid(v) for v in t)) for t in model.triangles]
-        return ExpandedComplex(
-            model, assignment, 0, P, model.sphere, regions, [], [], {}, {}, {}
-        )
+        regions = {t: 1 for t in model.triangles}
+        return ExpandedComplex(model, assignment, 0, P, model.sphere, [], [], regions, {}, {})
 
     cells: dict[str, Cell] = {_vid(v): Cell(_vid(v), 0, v) for v in model.vertices}
 
@@ -318,7 +290,6 @@ def subdivide(
     distinguished = edge_sides(model, assignment)
     ladder = (Fraction(0), *P, Fraction(1))
     reversed_ladder = tuple(1 - pos for pos in ladder)
-    edge_census: dict = {}
     edge_nodes = []
     colored_segments: dict = {}
     lines: dict = {}  # (edge, triangle) -> (edge point ids, index there of each level)
@@ -343,7 +314,6 @@ def subdivide(
         index = {pos: i for i, (pos, _) in enumerate(pts)}
         segments = [(pair_cell(a, b), str(pb - pa)) for (pa, a), (pb, b) in zip(pts, pts[1:])]
         for tri, levels in sides.items():
-            edge_census.setdefault(e, {})[tri] = tuple(sorted(zip(levels[1:-1], range(1, n + 1))))
             at = [index[pos] for pos in levels]
             lines[e, tri] = ids, at
             # segment t_l runs from level l-1 to level l, across any foreign
@@ -359,7 +329,7 @@ def subdivide(
 
     # ---- one walk of each triangle's level grid ----------------------------
     boxes = []
-    regions: list[Region] = []
+    regions: dict = {}
     for tri in model.triangles:
         tkey, name = "|".join(tri), "-".join(tri)
         role_lines = {r: lines[e, tri] for r, (e, _) in edge_roles(assignment, tri).items()}
@@ -398,7 +368,7 @@ def subdivide(
                 cycle.append(point(i, j))
                 if i == 0:
                     cycle += between("ST", j, j + 1)
-                regions.append(Region(tri, (i, j), tuple(cycle)))
+                regions[tri] = regions.get(tri, 0) + 1
                 # star triangulation from the region's center
                 cid = f"c:{tkey}#{i},{j}"
                 cells[cid] = Cell(cid, 0, f"center {(i, j)} in {name}")
@@ -415,10 +385,9 @@ def subdivide(
         n,
         P,
         DeltaComplex(cells.values()),
-        regions,
         edge_nodes,
         boxes,
-        edge_census,
+        regions,
         colored_segments,
         distinguished,
     )
@@ -434,9 +403,13 @@ def check_gluing(E: ExpandedComplex) -> GluingReport:
     a failure.  The report is assembled in sorted edge order, so it is
     independent of any triangle processing order.
     """
+    placed: dict = {}  # edge -> {triangle -> [(position from u, level), ...]}
+    for node in E.edge_nodes:
+        for t, level in node.levels.items():
+            placed.setdefault(node.edge, {}).setdefault(t, []).append((node.position, level))
     failures = []
-    for e in sorted(E.edge_census):
-        sides = E.edge_census[e]
+    for e in sorted(placed):
+        sides = placed[e]
         tris = sorted(sides)
         if len(tris) != 2:
             continue
@@ -515,7 +488,7 @@ def expanded_complex_report(E: ExpandedComplex) -> dict:
         ],
         "exceptional_vertex_count": E.exceptional_vertex_count(),
         "regions_per_triangle": {
-            "-".join(t): c for t, c in sorted(E.regions_per_triangle().items())
+            "-".join(t): c for t, c in sorted(E.regions_per_triangle.items())
         },
         "colored_segments": {
             f"{e[0]}-{e[1]}": {

@@ -59,8 +59,10 @@ def make_surface_model(
     metadata: SingularityData | None = None,
 ) -> SurfaceModel:
     """Assemble a model from triangles, checking it is a closed surface with
-    the Euler characteristic of a sphere."""
-    triangles = tuple(tuple(sorted(t)) for t in triangles)
+    the Euler characteristic of a sphere.  Each triangle's corners and the
+    triangle list are sorted, so the model fixes the order of its strata
+    whatever order the input lists them in."""
+    triangles = tuple(sorted(tuple(sorted(t)) for t in triangles))
     vertices = tuple(sorted({v for t in triangles for v in t}))
     edges = tuple(sorted({edge_key(a, b) for t in triangles for a, b in combinations(t, 2)}))
     sphere = simplex_complex(triangles)
@@ -133,23 +135,19 @@ def find_3_labeling(model: SurfaceModel) -> Labeling3 | None:
     """Lexicographically least labeling of the vertices by {1,2,3}, if any.
 
     Backtracking over vertices in sorted order with labels tried in
-    increasing order; pruning only discards assignments that already violate
-    a completed triangle, so the search is exhaustive.
+    increasing order; pruning only discards assignments that already give
+    two corners of one triangle the same label, so the search is exhaustive.
     """
     order = sorted(model.vertices)
-    position = {v: i for i, v in enumerate(order)}
-    tri_sets = [tuple(sorted(t, key=position.get)) for t in model.triangles]
     assignment: dict[str, int] = {}
 
     def consistent(v: str) -> bool:
-        for tri in tri_sets:
-            if v not in tri:
-                continue
-            labels = [assignment[u] for u in tri if u in assignment]
-            if len(labels) != len(set(labels)):
-                return False
-            if len(labels) == 3 and sorted(labels) != [1, 2, 3]:
-                return False
+        # three distinct labels from {1, 2, 3} are always 1, 2 and 3
+        for tri in model.triangles:
+            if v in tri:
+                labels = [assignment[u] for u in tri if u in assignment]
+                if len(labels) != len(set(labels)):
+                    return False
         return True
 
     def search(i: int) -> bool:

@@ -87,22 +87,6 @@ class FaceCertificate:
             ExpectedRegion("corner-first", (v, F, w)),
         )
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "corners": {k: [str(v[0]), str(v[1])] for k, v in self.corners.items()},
-            "roles": list(self.roles),
-            "pieces": [
-                {
-                    "a_c": str(p.a_c),
-                    "a_q": str(p.a_q),
-                    "a_tau": str(p.a_tau),
-                    "b": str(p.b),
-                }
-                for p in self.pieces
-            ],
-        }
-
 
 _KINDS = {dict: "an object", list: "an array", str: "a string"}
 
@@ -148,10 +132,6 @@ def certificates_from_json(text: str) -> list[FaceCertificate]:
     if not faces:
         raise ValueError("certificate file field 'faces' lists no face")
     return [certificate_from_json_obj(o) for o in faces]
-
-
-def certificates_to_json(certs) -> str:
-    return json.dumps({"faces": [c.to_json_obj() for c in certs]}, indent=2, sort_keys=True)
 
 
 def builtin_certificates() -> list[FaceCertificate]:

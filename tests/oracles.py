@@ -1,4 +1,6 @@
-"""Independent reference computations that the tests compare against."""
+"""Independent reference computations that the tests compare against, and
+the fixtures and serializers that only the tests use."""
+import json
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, compress
@@ -11,6 +13,7 @@ from sympy.polys.matrices.normalforms import invariant_factors
 
 from degex.charts import ChartPoint
 from degex.complexes import Cell, DeltaComplex, boundary_matrix, f_vector
+from degex.expansion import BlowupAssignment
 from degex.hilb import (
     all_stable,
     components_at_codim,
@@ -485,3 +488,34 @@ def wall_failures(cert, tau: Fraction, matching: dict) -> list:
                         }
                     )
     return failures
+
+
+def bad_quartic_assignment() -> BlowupAssignment:
+    """A seemingly symmetric choice that fails to glue along Y2-Y3."""
+    return BlowupAssignment(
+        {
+            ("Y1", "Y2", "Y3"): ("Y1", "Y2"),
+            ("Y1", "Y2", "Y4"): ("Y1", "Y2"),
+            ("Y1", "Y3", "Y4"): ("Y4", "Y3"),
+            ("Y2", "Y3", "Y4"): ("Y4", "Y3"),
+        }
+    )
+
+
+def certificate_to_json_obj(cert) -> dict:
+    """The certificate-file object of one face certificate."""
+    return {
+        "name": cert.name,
+        "corners": {k: [str(v[0]), str(v[1])] for k, v in cert.corners.items()},
+        "roles": list(cert.roles),
+        "pieces": [
+            {"a_c": str(p.a_c), "a_q": str(p.a_q), "a_tau": str(p.a_tau), "b": str(p.b)}
+            for p in cert.pieces
+        ],
+    }
+
+
+def certificates_to_json(certs) -> str:
+    """A certificate file, as ``projectivity.certificates_from_json`` reads it."""
+    faces = [certificate_to_json_obj(c) for c in certs]
+    return json.dumps({"faces": faces}, indent=2, sort_keys=True)

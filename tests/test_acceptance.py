@@ -15,7 +15,6 @@ from degex.cli import run
 from degex.complexes import betti_numbers, f_vector, h1_torsion, validate
 from degex.expansion import (
     BlowupAssignment,
-    bad_quartic_assignment,
     check_gluing,
     check_torus_compatibility,
     get_assignment,
@@ -31,7 +30,7 @@ from degex.projectivity import (
     check_strict_convexity,
 )
 
-from oracles import labeling_is_valid
+from oracles import bad_quartic_assignment, labeling_is_valid
 
 QUARTIC_FV = (10, 45, 110, 120, 48)
 QUARTIC_BREAKDOWNS = [(10,), (24, 6, 12, 3), (10, 16, 48, 30, 6), (48, 72), (12, 36)]

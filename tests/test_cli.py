@@ -13,7 +13,9 @@ from degex.charts import ChartPoint
 from degex.cli import run
 from degex.expansion import get_assignment
 from degex.models import quartic_model
-from degex.projectivity import builtin_certificates, certificates_to_json
+from degex.projectivity import builtin_certificates
+
+from oracles import certificates_to_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

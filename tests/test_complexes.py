@@ -1,3 +1,5 @@
+import json
+import re
 from itertools import combinations
 
 import pytest
@@ -185,6 +187,26 @@ def test_json_export_counts_and_roundtrip():
     assert validate(K2) == []
     assert tuple(f_vector(K2)) == (4, 6, 4)
     assert face_relation_signature(K2) == face_relation_signature(K)
+
+
+@pytest.mark.parametrize("sign", [0, 2])
+def test_a_face_sign_other_than_plus_or_minus_one_is_refused(sign):
+    with pytest.raises(ValueError, match=r"^cell e:ab: face sign must be \+1 or -1$"):
+        DeltaComplex(
+            [
+                Cell("v:a", 0, "a"),
+                Cell("v:b", 0, "b"),
+                Cell("e:ab", 1, "ab", (("v:b", 1), ("v:a", sign))),
+            ]
+        )
+
+
+def test_from_json_refuses_a_face_sign_of_two():
+    payload = json.loads(to_json(tetrahedron()))
+    cell = payload["cells"][-1]
+    cell["faces"][0]["sign"] = 2
+    with pytest.raises(ValueError, match=re.escape(f"cell {cell['id']}: face sign")):
+        from_json(json.dumps(payload))
 
 
 def test_dot_export():

@@ -8,13 +8,15 @@ from degex.complexes import betti_numbers, euler_characteristic, h1_torsion, val
 from degex.expansion import (
     BlowupAssignment,
     assignment_from_order,
-    bad_quartic_assignment,
     check_gluing,
     check_torus_compatibility,
+    edge_roles,
     get_assignment,
     subdivide,
 )
 from degex.models import cube_model, quartic_model
+
+from oracles import bad_quartic_assignment
 
 
 def closed_surface(K):
@@ -80,7 +82,7 @@ def test_quartic_n1_census():
     # one glued node per tetrahedron edge; each triangle cut into 3 regions
     assert len(E.edge_nodes) == 6
     assert len(E.boxes) == 0
-    assert set(E.regions_per_triangle().values()) == {3}
+    assert set(E.regions_per_triangle.values()) == {3}
     assert validate(E.cells) == []
     assert euler_characteristic(E.cells) == 2
     assert closed_surface(E.cells)
@@ -93,7 +95,7 @@ def test_quartic_n2_census():
     assert len(E.edge_nodes) == 12
     assert len(E.boxes) == 4
     assert E.exceptional_vertex_count() == 16
-    assert set(E.regions_per_triangle().values()) == {6}
+    assert set(E.regions_per_triangle.values()) == {6}
     assert validate(E.cells) == []
     assert euler_characteristic(E.cells) == 2
     assert closed_surface(E.cells)
@@ -124,13 +126,35 @@ def test_bad_assignment_fails_at_generic_params_too():
     assert ("Y2", "Y3") in {tuple(f["edge"]) for f in report.failures}
 
 
+@pytest.mark.parametrize(
+    "P",
+    # the sides of a failing edge share no node, or share each with swapped levels
+    [(Fraction(1, 5), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))],
+)
+def test_a_gluing_failure_lists_the_nodes_each_side_places(P):
+    m = quartic_model()
+    E = subdivide(m, bad_quartic_assignment(), 2, positions=P)
+    failures = check_gluing(E).failures
+    assert failures
+    for failure in failures:
+        e = tuple(failure["edge"])
+        for side in failure["sides"]:
+            roles = edge_roles(E.assignment, tuple(side["triangle"]))
+            dist = dict(roles.values())[e]
+            assert side["distinguished_endpoint"] == dist
+            # level k sits at P_k from the side's distinguished endpoint
+            from_u = [p if dist == e[0] else 1 - p for p in P]
+            nodes = sorted(zip(from_u, (1, 2)))
+            assert side["nodes"] == [{"position": str(p), "level": k} for p, k in nodes]
+
+
 def test_cube_labeling_assignment_glues():
     m = cube_model()
     a = get_assignment(m, "labeling")
     E = subdivide(m, a, 1)
     assert check_gluing(E).glues
     assert len(E.edge_nodes) == 12
-    assert set(E.regions_per_triangle().values()) == {3}
+    assert set(E.regions_per_triangle.values()) == {3}
     assert validate(E.cells) == []
     assert closed_surface(E.cells)
 
@@ -228,10 +252,13 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
     for assignment in assignments:
         for n in (1, 2):
             E = subdivide(m, assignment, n)
-            for node in E.edge_nodes:
-                for t, level in node.levels.items():
-                    census = E.edge_census[node.edge][t]
-                    assert [lev for pos, lev in census if pos == node.position] == [level]
+            # read along each edge, the nodes each side places carry its
+            # levels 1..n, each once, from one endpoint
+            for e, sides in E.distinguished.items():
+                on_e = [node for node in E.edge_nodes if node.edge == e]
+                for t in sides:
+                    levels = [node.levels[t] for node in on_e if t in node.levels]
+                    assert levels in (list(range(1, n + 1)), list(range(n, 0, -1)))
             glues = check_gluing(E).glues
             assert check_torus_compatibility(E).compatible == glues
             if n == 1 and glues:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +17,7 @@ from degex.complexes import (
     h1_torsion,
     validate,
 )
-from degex.expansion import bad_quartic_assignment, edge_roles, subdivide
+from degex.expansion import edge_roles, subdivide
 from degex.hilb import (
     REFERENCE_CP2_10_VERTEX,
     EnumerationMismatch,
@@ -31,9 +32,10 @@ from degex.hilb import (
     structure_for,
     type_key,
 )
-from degex.models import cube_model, get_model, quartic_model
+from degex.models import cube_model, get_model, make_surface_model, quartic_model
 
 from oracles import (
+    bad_quartic_assignment,
     brute_force_stable,
     case_collapse_point,
     classify_config,
@@ -328,6 +330,26 @@ def test_a_census_mismatch_lists_the_sorted_keys_on_each_side(monkeypatch):
     assert diff["listed_not_stable"] == [type_key(2, double_point), type_key(2, not_stable)]
     assert diff["stable_not_listed"] == sorted(type_key(2, t) for t in disjoint)
     assert len(diff["stable_not_listed"]) == 3
+
+
+@pytest.mark.parametrize("model", ["quartic", "cube"])
+def test_pi_does_not_depend_on_the_order_of_the_input_triangles(model):
+    # the case census pairs triangles in the model's order, and lists sorted
+    # types only when that order is sorted
+    built = get_model(model)
+    K, breakdowns = build_pi(built)
+    rng = random.Random(2021)
+    orders = [built.triangles[::-1]]
+    for _ in range(3):
+        order = [rng.sample(t, 3) for t in built.triangles]
+        rng.shuffle(order)
+        orders.append(order)
+    for triangles in orders:
+        rebuilt = make_surface_model(built.name, triangles, built.metadata)
+        K2, breakdowns2 = build_pi(rebuilt)
+        assert [tuple(c) for c in K2.cells()] == [tuple(c) for c in K.cells()]
+        assert [b.cases for b in breakdowns2] == [b.cases for b in breakdowns]
+        assert rebuilt.triangles == built.triangles
 
 
 def test_codim5_is_deepest():

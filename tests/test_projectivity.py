@@ -8,12 +8,11 @@ from degex.projectivity import (
     FaceCertificate,
     builtin_certificates,
     certificates_from_json,
-    certificates_to_json,
     check_edge_agreement,
     check_strict_convexity,
 )
 
-from oracles import wall_failures
+from oracles import certificates_to_json, wall_failures
 
 TAUS = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)]
 
