@@ -4,7 +4,9 @@ Every command writes a single JSON report to standard output and reserves
 standard error for diagnostics.  Exit codes: 0 pass, 1 a hard check failed,
 2 usage or input error, 3 a documented reference discrepancy was reproduced
 (never silently passed).  Reports are deterministic for fixed flags and
-embed the artifact version.
+embed the artifact version.  They are written with two-space indent and
+sorted keys by `degex.dumps`, byte-identical to
+`json.dumps(report, indent=2, sort_keys=True)`.
 
 `run` writes every report: a command returns its results and status, and
 the report's command and inputs are the parsed arguments, so the parser is
@@ -18,7 +20,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, parse_fraction
+from . import __version__, dumps, parse_fraction
 from .charts import delta_coincidence_check, verify_samples, verify_torus_pairs
 from .complexes import euler_of_counts, f_vector
 from .complexes import export as export_complex
@@ -46,10 +48,11 @@ EXIT_FLAGGED = 3
 
 _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "flagged": EXIT_FLAGGED}
 
-# `expand` time and memory grow about 4x per doubling of n (subdividing and
-# checking the cube at n = 96 takes 2.4 s and 352 MB on a 2-core x86 host),
-# and `charts verify` with its default 1000 samples takes 0.6 s at n = 64 on
-# one CPU of that host, so deeper ones are refused up front
+# per doubling of n, `expand` makes 4x the cells in 3-4x the time and 3x the
+# memory (`expand cube --n 64 --assignment labeling`: 1.6-2.0 s and 141 MB
+# peak RSS, best of 3 on one CPU of a 2-core x86 host), and `charts verify`
+# with its default 1000 samples takes 0.6 s at n = 64 on one CPU of that
+# host, so deeper ones are refused up front
 MAX_DEPTH = 64
 
 DEFAULT_TAUS = ("1/10", "1/4", "1/2", "3/4", "9/10")
@@ -316,7 +319,7 @@ def run(argv) -> int:
         "status": status,
         "version": __version__,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(dumps(report))
     return _STATUS_CODE[status]
 
 

@@ -5,7 +5,9 @@ purely through shared face ids.  Face signs follow the standard alternating
 convention on ordered face slots, which makes the composed-boundary check a
 mechanical one: for every cell the signed sum of faces-of-faces must vanish.
 A ``Cell`` is a plain record; ``DeltaComplex`` checks each cell's face signs
-once, when the complex is built, so ``from_json`` input is checked too.
+once, when the complex is built, so ``from_json`` input is checked too.  The
+canonical cell order is sorted on its first read, so a complex that is only
+counted (``f_vector``, ``len``, ``in``) is never sorted.
 
 Homology comes from coreduction to the Morse complex, then exact rank and
 Smith normal form of its boundary: pairs of cells joined by a +-1
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from . import dumps
 from .linalg import IntMatrix, rank_over_rationals, smith_normal_form
 
 
@@ -63,9 +66,6 @@ class DeltaComplex:
             if cell.id in self._cells:
                 raise ValueError(f"duplicate cell id {cell.id}")
             self._cells[cell.id] = cell
-        # sorted is stable and the dict keeps insertion order, so ties in
-        # (dimension, label) stay in insertion order
-        self._order = sorted(self._cells.values(), key=lambda c: (c.dim, c.label))
         self.dimension = max((c.dim for c in self._cells.values()), default=0)
 
     def __contains__(self, cell_id):
@@ -77,12 +77,19 @@ class DeltaComplex:
     def __len__(self):
         return len(self._cells)
 
+    @cached_property
+    def _order(self) -> list[Cell]:
+        # sorted is stable and the dict keeps insertion order, so ties in
+        # (dimension, label) stay in insertion order
+        return sorted(self._cells.values(), key=lambda c: (c.dim, c.label))
+
     def cells(self) -> list[Cell]:
-        """Cells in the canonical order (dimension, label, insertion order)."""
+        """A fresh list of the cells in the canonical order (dimension, label,
+        insertion order), which is sorted on the first read."""
         return list(self._order)
 
     def cells_of_dim(self, d: int) -> list[Cell]:
-        return [c for c in self.cells() if c.dim == d]
+        return [c for c in self._order if c.dim == d]
 
     @cached_property
     def morse_boundaries(self) -> list[IntMatrix]:
@@ -145,7 +152,7 @@ def validate(K: DeltaComplex) -> list[Violation]:
 
 def f_vector(K: DeltaComplex) -> tuple[int, ...]:
     counts = [0] * (K.dimension + 1)
-    for cell in K.cells():
+    for cell in K._cells.values():
         counts[cell.dim] += 1
     return tuple(counts)
 
@@ -287,7 +294,7 @@ def to_json(K: DeltaComplex) -> str:
             for c in K.cells()
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return dumps(payload)
 
 
 def from_json(text: str) -> DeltaComplex:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from degex import charts, complexes, hilb
+from degex import charts, complexes, dumps, hilb
 from degex.charts import ChartPoint
 from degex.cli import run
 from degex.expansion import get_assignment
@@ -462,3 +462,39 @@ def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
     for name in ("pi_quartic.json", "tetra.dot"):
         digests[name] = sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digests == README_SHA256
+
+
+# sha256 of the largest report and export as `json.dumps(indent=2,
+# sort_keys=True)` writes them; the README pins cover only shallow reports
+# and the quartic export
+BIG_OUTPUT_SHA256 = {
+    "expand cube --n 24 --assignment labeling":
+        "90667a225b7f7ab002f083ed7a9f9f2911471298cc6ae884875bd6583e6dc935",
+    "export pi-cube --format json -o pi_cube.json":
+        "be85733247e72153ca5492ecc90c74961a8a8ac78bbe7ea00c4fe89d7cbcb97a",
+    "pi_cube.json": "2e83f80e3a7820908845abc2cff78a5ac8725ec4267b2736a8e909d5c71ece9e",
+}
+
+
+def test_the_largest_report_and_export_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for command in list(BIG_OUTPUT_SHA256)[:2]:
+        assert run(command.split()) == 0
+        digests[command] = sha256(capsys.readouterr().out.encode()).hexdigest()
+    digests["pi_cube.json"] = sha256((tmp_path / "pi_cube.json").read_bytes()).hexdigest()
+    assert digests == BIG_OUTPUT_SHA256
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [
+        (0.5, "float"),
+        ({"tau": Fraction(1, 3)}, "Fraction"),
+        (["ok", {1, 2}], "set"),
+        ([{"ok": True}, {1: "int key"}], "int"),
+    ],
+)
+def test_the_report_writer_refuses_what_a_report_never_holds(value, kind):
+    with pytest.raises(TypeError, match=rf"\b{kind}\b"):
+        dumps(value)

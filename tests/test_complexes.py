@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from itertools import combinations
 
@@ -22,7 +23,9 @@ from degex.complexes import (
     to_json,
     validate,
 )
+from degex.expansion import get_assignment, subdivide
 from degex.linalg import rank_over_rationals, smith_normal_form
+from degex.models import quartic_model
 
 from oracles import elimination_homology, face_relation_signature, unit_eliminate
 
@@ -221,3 +224,26 @@ def test_export_dispatch():
     assert export(K, "dot").startswith(b"graph")
     with pytest.raises(ValueError):
         export(K, "svg")
+
+
+def test_canonical_order_is_sorted_on_first_read_and_keeps_ties_in_insertion_order():
+    model = quartic_model()
+    built = subdivide(model, get_assignment(model, "default"), 2).cells
+    # the 2-cells of one triangle's pieces tie on (dimension, label)
+    labels = [c.label for c in built.cells_of_dim(2)]
+    assert len(set(labels)) < len(labels)
+    inserted = built.cells()
+    random.Random(7).shuffle(inserted)
+    K = DeltaComplex(inserted)
+    ids = [c.id for c in inserted]
+    before = (f_vector(K), len(K), all(i in K for i in ids), "no such cell" in K)
+    assert before == (f_vector(built), len(inserted), True, False)
+    # counting sorts nothing
+    assert "_order" not in vars(K)
+    first = K.cells()
+    assert first == sorted(inserted, key=lambda c: (c.dim, c.label))
+    assert (f_vector(K), len(K), all(i in K for i in ids), "no such cell" in K) == before
+    second = K.cells()
+    assert second == first and second is not first
+    second.clear()
+    assert K.cells() == first and len(K) == len(inserted)

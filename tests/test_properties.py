@@ -1,4 +1,5 @@
 """Property suites over the module invariants, with fixed seeds."""
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from itertools import combinations
 from hypothesis import HealthCheck, Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
+from degex import dumps
 from degex.charts import (
     chart_relations,
     failed_equations,
@@ -175,6 +177,32 @@ def test_canonicalization_idempotent_and_exchange_invariant(i, j, c):
     pair = tuple(sorted((p, q)))
     assert types.count(pair) == is_stable(pair, c)
     assert p == q or pair[::-1] not in types
+
+
+# report text: quotes, backslashes, control characters and non-ASCII
+# (astral ones included, which JSON escapes as surrogate pairs)
+report_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028'), st.characters()))
+report_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(0, 200).map(lambda k: (-7) ** k),
+        report_text,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(report_text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@FIXED
+@given(report_values)
+def test_the_report_writer_matches_the_standard_library(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_export_import_roundtrip_on_built_complexes():
