@@ -103,50 +103,41 @@ def validate(K: DeltaComplex) -> list[Violation]:
 
     Reported violations: dangling face ids, wrong face count (a d-cell must
     carry exactly d+1 face entries for d >= 1, with faces of dimension d-1),
-    and nonvanishing composed boundary.
+    and nonvanishing composed boundary.  Cells are checked in canonical
+    order, each cell's face entries in their slot order.
     """
+    cells = K._cells
     violations: list[Violation] = []
-    for cell in K.cells():
-        if cell.dim == 0:
-            if cell.faces:
-                violations.append(
-                    Violation("wrong face count", cell.id, "0-cell with faces")
-                )
+    for cid, dim, _, faces in K._order:
+        if dim == 0:
+            if faces:
+                violations.append(Violation("wrong face count", cid, "0-cell with faces"))
             continue
-        if len(cell.faces) != cell.dim + 1:
+        if len(faces) != dim + 1:
             violations.append(
-                Violation(
-                    "wrong face count",
-                    cell.id,
-                    f"{cell.dim}-cell with {len(cell.faces)} face entries",
-                )
+                Violation("wrong face count", cid, f"{dim}-cell with {len(faces)} face entries")
             )
-        for fid, _ in cell.faces:
-            if fid not in K:
-                violations.append(Violation("dangling face id", cell.id, fid))
-            elif K[fid].dim != cell.dim - 1:
+        for fid, _ in faces:
+            face = cells.get(fid)
+            if face is None:
+                violations.append(Violation("dangling face id", cid, fid))
+            elif face.dim != dim - 1:
                 violations.append(
-                    Violation(
-                        "wrong face dimension",
-                        cell.id,
-                        f"face {fid} has dim {K[fid].dim}",
-                    )
+                    Violation("wrong face dimension", cid, f"face {fid} has dim {face.dim}")
                 )
     if violations:
         return violations
     # composed boundary must vanish exactly
-    for cell in K.cells():
-        if cell.dim < 2:
+    for cid, dim, _, faces in K._order:
+        if dim < 2:
             continue
         acc: dict[str, int] = {}
-        for fid, s1 in cell.faces:
-            for gid, s2 in K[fid].faces:
+        for fid, s1 in faces:
+            for gid, s2 in cells[fid].faces:
                 acc[gid] = acc.get(gid, 0) + s1 * s2
-        bad = {g: v for g, v in acc.items() if v != 0}
-        if bad:
-            violations.append(
-                Violation("composed boundary nonzero", cell.id, str(sorted(bad)))
-            )
+        if any(acc.values()):
+            bad = sorted(g for g, v in acc.items() if v)
+            violations.append(Violation("composed boundary nonzero", cid, str(bad)))
     return violations
 
 

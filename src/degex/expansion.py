@@ -273,12 +273,15 @@ def subdivide(
         return ExpandedComplex(model, assignment, 0, P, model.sphere, [], [], regions, {}, {})
 
     cells: dict[str, Cell] = {_vid(v): Cell(_vid(v), 0, v) for v in model.vertices}
+    edges: dict[tuple[str, str], str] = {}
 
     def pair_cell(a: str, b: str) -> str:
-        """The 1-cell joining vertices a and b, keyed canonically."""
-        lo, hi = sorted((a, b))
-        eid = f"E[{lo}][{hi}]"
-        if eid not in cells:
+        """The 1-cell joining vertices a and b, keyed canonically and made
+        when the pair is first met."""
+        lo, hi = (a, b) if a < b else (b, a)
+        eid = edges.get((lo, hi))
+        if eid is None:
+            eid = edges[lo, hi] = f"E[{lo}][{hi}]"
             label = f"{cells[lo].label} / {cells[hi].label}"
             cells[eid] = Cell(eid, 1, label, ((hi, 1), (lo, -1)))
         return eid
@@ -374,7 +377,15 @@ def subdivide(
                 cells[cid] = Cell(cid, 0, f"center {(i, j)} in {name}")
                 label = f"piece of {(i, j)} in {name}"
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    s0, s1, s2 = sorted((cid, a, b))
+                    # the three ids in sorted order, by comparison
+                    if b < a:
+                        a, b = b, a
+                    if cid < a:
+                        s0, s1, s2 = cid, a, b
+                    elif cid < b:
+                        s0, s1, s2 = a, cid, b
+                    else:
+                        s0, s1, s2 = a, b, cid
                     tid = f"T[{s0}][{s1}][{s2}]"
                     faces = (pair_cell(s1, s2), 1), (pair_cell(s0, s2), -1), (pair_cell(s0, s1), 1)
                     cells[tid] = Cell(tid, 2, label, faces)

@@ -22,16 +22,20 @@ The complex is built from one concept: every stable type is a cell, its
 faces are given by the facet maps, and validation proves every facet is
 itself a stable type and that the boundary squares to zero.  A stable type
 is the sorted tuple of its components, as `all_stable` generates it; its
-base codimension is the level it sits on.  Keys are formatted once per
-level, lowest codimension first; the collapse maps are tabulated once per
-codimension and slot over the components, and a facet, sorted, finds its id
-among the keys of the level below.  A facet that is not a stable type keeps
-its own key, which validation reports as a dangling face.  The case census
-(one named family per proof case, built from the model strata) is an
-independent listing of the same cells: each family lists its types, and
-together they must be exactly the stable types, each once.  A mismatch is a
-hard failure whose report lists the keys listed but not stable and stable
-but not listed.
+base codimension is the level it sits on.  `build_pi` numbers the
+components of each codimension once, in `components_at_codim` order, and
+handles each type as the tuple of its component indices, which is sorted
+too; a type's label is one join of component names formatted once per
+codimension, and its key is `c<codim>:` and the label.  Each collapse map
+is an index table per codimension and slot, from each component's index to
+the index of its image one level below, and a facet, sorted, finds its id
+among the index tuples of the level below.  A facet that is not a stable
+type keeps its own key, which validation reports as a dangling face.  The
+case census (one named family per proof case, built from the model strata)
+is an independent listing of the same cells: each family lists its types,
+and together they must be exactly the stable types, each once.  A mismatch
+is a hard failure whose report lists the keys listed but not stable and
+stable but not listed.
 """
 from __future__ import annotations
 
@@ -89,13 +93,10 @@ def structure_for(model: SurfaceModel) -> ExpansionStructure:
 # stable types: sorted tuples of components
 
 
-def type_label(points) -> str:
-    return " + ".join(point_str(p) for p in points)
-
-
 def type_key(c: int, points) -> str:
-    """Cell id of the type with these sorted points at base codimension c."""
-    return f"c{c}:" + type_label(points)
+    """Cell id of the type with these sorted points at base codimension c:
+    the prefix ``c<c>:`` and the cell's label, its points joined by " + "."""
+    return f"c{c}:" + " + ".join(point_str(p) for p in points)
 
 
 def point_str(p) -> str:
@@ -184,11 +185,19 @@ def collapse_point(p, i: int, c: int, structure: ExpansionStructure):
     return ("Y", structure.distinguished[e] if level == 0 else structure.far_end[e])
 
 
-def collapse_tables(structure: ExpansionStructure, c: int) -> list[dict]:
-    """Collapse map of each facet slot i = 1..c, tabulated over the components
-    of codimension c; slot i un-vanishes the i-th base coordinate."""
+def collapse_tables(structure: ExpansionStructure, c: int) -> tuple[list, list]:
+    """Collapse map of each facet slot i = 1..c as an index table; slot i
+    un-vanishes the i-th base coordinate.  Entry j of a table is the index of
+    the image of component j of codimension c in the returned list of
+    targets: the components of codimension c - 1, then every image that is
+    not one of them (only a broken collapse map makes one)."""
     comps = components_at_codim(structure, c)
-    return [{p: collapse_point(p, i, c, structure) for p in comps} for i in range(1, c + 1)]
+    index = {p: j for j, p in enumerate(components_at_codim(structure, c - 1))}
+    tables = [
+        [index.setdefault(collapse_point(p, i, c, structure), len(index)) for p in comps]
+        for i in range(1, c + 1)
+    ]
+    return tables, list(index)
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +363,33 @@ def build_pi(model: SurfaceModel, m: int = 2):
                 )
             breakdowns.append(breakdown)
 
-    # every facet of a stable type, sorted, is looked up among the keys of
-    # the level below; one that is not a stable type keeps its own key,
-    # which validate reports as a dangling face id
+    # components are numbered once per codimension in components_at_codim
+    # order, which is sorted, so a type is its sorted tuple of indices and
+    # its label one join of names formatted once.  Each facet, sorted, is
+    # looked up among the types of the level below; one that is not a
+    # stable type keeps its own key, which validate reports as a dangling
+    # face id
     below: dict[tuple, str] = {}
     cells = []
     for k, types in enumerate(levels):
+        comps = components_at_codim(structure, k + 1)
+        index = {p: j for j, p in enumerate(comps)}
+        names = [point_str(p) for p in comps]
+        prefix = f"c{k + 1}:"
         # vertices have no facet slots
-        slots = list(enumerate(collapse_tables(structure, k + 1))) if k else []
+        tables, targets = collapse_tables(structure, k + 1) if k else ([], [])
+        slots = [(table, (-1) ** i) for i, table in enumerate(tables)]
         keys = {}
         for points in types:
+            indices = tuple(index[p] for p in points)
             faces = []
-            for i, table in slots:
-                facet = tuple(sorted(table[p] for p in points))
-                faces.append((below.get(facet) or type_key(k, facet), (-1) ** i))
-            key = keys[points] = type_key(k + 1, points)
-            cells.append(Cell(key, k, type_label(points), tuple(faces)))
+            for table, sign in slots:
+                facet = tuple(sorted([table[j] for j in indices]))
+                key = below.get(facet) or type_key(k, sorted(targets[j] for j in facet))
+                faces.append((key, sign))
+            label = " + ".join([names[j] for j in indices])
+            key = keys[indices] = prefix + label
+            cells.append(Cell(key, k, label, tuple(faces)))
         below = keys
     K = DeltaComplex(cells)
     problems = validate(K)

@@ -73,6 +73,45 @@ def test_broken_boundary_detected():
     assert any(v.kind == "composed boundary nonzero" for v in validate(DeltaComplex(cells)))
 
 
+def test_violations_are_listed_in_canonical_cell_order():
+    # one complex with every first-pass violation, inserted out of order;
+    # t:mixed breaks three rules, reported in face-entry order after the count
+    K = DeltaComplex(
+        [
+            Cell("t:mixed", 2, "mixed", (("v:a", 1), ("e:ab", -1), ("e:gone", 1), ("e:ab", 1))),
+            Cell("v:a", 0, "a"),
+            Cell("v:b", 0, "b"),
+            Cell("v:odd", 0, "odd", (("v:a", 1),)),
+            Cell("e:ab", 1, "ab", (("v:b", 1), ("v:a", -1))),
+            Cell("e:loose", 1, "loose", (("v:b", 1), ("v:gone", -1))),
+            Cell("e:flat", 1, "flat", (("e:ab", 1), ("v:a", -1))),
+            Cell("t:bad", 2, "bad", (("e:ab", 1), ("e:ab", -1))),
+        ]
+    )
+    assert [str(v) for v in validate(K)] == [
+        "wrong face count at v:odd: 0-cell with faces",
+        "wrong face dimension at e:flat: face e:ab has dim 1",
+        "dangling face id at e:loose: v:gone",
+        "wrong face count at t:bad: 2-cell with 2 face entries",
+        "wrong face count at t:mixed: 2-cell with 4 face entries",
+        "wrong face dimension at t:mixed: face v:a has dim 0",
+        "dangling face id at t:mixed: e:gone",
+    ]
+    # the triangle whose edges do not close up leaves 2 v:c - 2 v:a
+    cells = [
+        Cell("v:a", 0, "a"),
+        Cell("v:b", 0, "b"),
+        Cell("v:c", 0, "c"),
+        Cell("e:ab", 1, "ab", (("v:b", 1), ("v:a", -1))),
+        Cell("e:bc", 1, "bc", (("v:c", 1), ("v:b", -1))),
+        Cell("e:ac", 1, "ac", (("v:c", 1), ("v:a", -1))),
+        Cell("t:abc", 2, "abc", (("e:bc", 1), ("e:ac", 1), ("e:ab", 1))),
+    ]
+    assert [str(v) for v in validate(DeltaComplex(cells))] == [
+        "composed boundary nonzero at t:abc: ['v:a', 'v:c']"
+    ]
+
+
 def test_euler_examples():
     assert euler_of_counts((10, 45, 110, 120, 48)) == 3
     assert euler_of_counts((21, 120, 420, 480, 192)) == 33

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from hashlib import sha256
 from itertools import permutations, product
 
 import pytest
 
-from degex.complexes import betti_numbers, euler_characteristic, h1_torsion, validate
+from degex.complexes import betti_numbers, euler_characteristic, h1_torsion, to_json, validate
 from degex.expansion import (
     BlowupAssignment,
     assignment_from_order,
@@ -299,6 +300,36 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
             assert betti_numbers(E.cells) == (1, 0, 1)
             assert h1_torsion(E.cells) == []
         assert with_foreign_nodes == 40
+
+
+@pytest.mark.parametrize(
+    "model, assignment, n, positions, cells, digest",
+    [
+        (
+            cube_model(),
+            get_assignment(cube_model(), "labeling"),
+            8,
+            None,
+            4106,
+            "d0eb8cbb7ea0a47a2923a11b574d4777368b285f0c9d0f9237e2a7cef85e7109",
+        ),
+        # places foreign nodes, so region cycles run across them
+        (
+            quartic_model(),
+            bad_quartic_assignment(),
+            2,
+            (Fraction(1, 5), Fraction(1, 2)),
+            266,
+            "2f802ec93a559d6520330a961cd01374301e1d3ec73feb351ed3cfa4afb91d39",
+        ),
+    ],
+)
+def test_subdivided_complex_is_byte_identical(model, assignment, n, positions, cells, digest):
+    # expand reports only counts, so this pins the ids, labels, faces and
+    # cell order of the expansion itself
+    K = subdivide(model, assignment, n, positions).cells
+    assert len(K) == cells
+    assert sha256(to_json(K).encode()).hexdigest() == digest
 
 
 def test_sampled_cube_vertex_orders_glue_and_are_torus_compatible():
