@@ -181,7 +181,7 @@ def _morse_boundaries(K: DeltaComplex) -> list[IntMatrix]:
     part on alive cells is always its original boundary restricted to them.
     See Mrozek-Batko, "Coreduction homology algorithm" (2009).
     """
-    cells = K.cells()
+    cells = K._order
     index = {c.id: i for i, c in enumerate(cells)}
     faces: list[dict[int, int]] = []
     cofaces: list[list[int]] = [[] for _ in cells]
@@ -190,8 +190,10 @@ def _morse_boundaries(K: DeltaComplex) -> list[IntMatrix]:
         for fid, sign in cell.faces:
             f = index[fid]
             acc[f] = acc.get(f, 0) + sign
-        faces.append({f: w for f, w in acc.items() if w})
-        for f in faces[i]:
+        if not all(acc.values()):
+            acc = {f: w for f, w in acc.items() if w}
+        faces.append(acc)
+        for f in acc:
             cofaces[f].append(i)
     alive = [True] * len(cells)
     alive_faces = [len(fs) for fs in faces]
@@ -221,17 +223,19 @@ def _morse_boundaries(K: DeltaComplex) -> list[IntMatrix]:
                 continue
             # eliminating the pair replaces dc by dc - <dc, b> w da for
             # every other alive coface c of b; da is w b + crit[a], so the
-            # b terms cancel and only c's critical part changes
-            for c in cofaces[b]:
-                if c != a and alive[c]:
-                    factor = -faces[c][b] * w
-                    part = crit[c]
-                    for y, v in crit[a].items():
-                        z = part.get(y, 0) + factor * v
-                        if z:
-                            part[y] = z
-                        else:
-                            del part[y]
+            # b terms cancel and only c's critical part changes, by nothing
+            # when crit[a] is empty
+            if part_a := crit[a]:
+                for c in cofaces[b]:
+                    if c != a and alive[c]:
+                        factor = -faces[c][b] * w
+                        part = crit[c]
+                        for y, v in part_a.items():
+                            z = part.get(y, 0) + factor * v
+                            if z:
+                                part[y] = z
+                            else:
+                                del part[y]
             remove(a)
             remove(b)
         if not alive[first]:

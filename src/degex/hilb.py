@@ -8,8 +8,10 @@ configuration is stable when its points sit in component interiors and
 every expansion level is occupied (finite automorphisms under the fibre
 torus); its type records only the components, with the two points unordered.
 Stable types are generated point by point rather than filtered from all
-multisets: a partial choice is dropped once its uncovered levels outnumber
-twice the points still to place, since a component covers at most two levels.
+multisets, with the covered levels kept as a bitmask: a partial choice is
+dropped once its uncovered levels outnumber twice the points still to place,
+since a component covers at most two levels, and each full choice is tested
+once, by `is_stable`.
 
 k-simplices of the dual complex correspond to types of base codimension
 k+1.  The k+1 facet slots un-vanish one base coordinate each: slot i
@@ -20,16 +22,16 @@ i < j, so the alternating-sign boundary squares to zero.
 
 The complex is built from one concept: every stable type is a cell, its
 faces are given by the facet maps, and validation proves every facet is
-itself a stable type and that the boundary squares to zero.  A stable type
-is the sorted tuple of its components, as `all_stable` generates it; its
-base codimension is the level it sits on.  `build_pi` numbers the
-components of each codimension once, in `components_at_codim` order, and
-handles each type as the tuple of its component indices, which is sorted
-too; a type's label is one join of component names formatted once per
-codimension, and its key is `c<codim>:` and the label.  Each collapse map
-is an index table per codimension and slot, from each component's index to
-the index of its image one level below, and a facet, sorted, finds its id
-among the index tuples of the level below.  A facet that is not a stable
+itself a stable type and that the boundary squares to zero.  `all_stable`
+generates each stable type as the sorted tuple of its indices into
+`components_at_codim`, whose list is sorted, so the components a type names
+come in sorted order too; its base codimension is the level it sits on.
+`build_pi` uses these index tuples as they come: a type's label is one join
+of component names formatted once per codimension, and its key is
+`c<codim>:` and the label.  Each collapse map is an index table per
+codimension and slot, from each component's index to the index of its image
+one level below, and a facet, sorted, finds its id among the index tuples of
+the level below.  A facet that is not a stable
 type keeps its own key, which validation reports as a dangling face.  The
 case census (one named family per proof case, built from the model strata)
 is an independent listing of the same cells: each family lists its types,
@@ -90,7 +92,7 @@ def structure_for(model: SurfaceModel) -> ExpansionStructure:
 
 
 # ---------------------------------------------------------------------------
-# stable types: sorted tuples of components
+# stable types: sorted tuples of component indices
 
 
 def type_key(c: int, points) -> str:
@@ -107,12 +109,13 @@ def point_str(p) -> str:
     return f"B[{'|'.join(p[1])}]@{p[2]},{p[3]}"
 
 
-def point_levels(p) -> frozenset:
+def level_mask(p) -> int:
+    """Expansion levels component p occupies, as a bitmask: bit l for level l."""
     if p[0] == "Y":
-        return frozenset()
+        return 0
     if p[0] == "E":
-        return frozenset((p[2],))
-    return frozenset((p[2], p[3]))
+        return 1 << p[2]
+    return 1 << p[2] | 1 << p[3]
 
 
 def components_at_codim(structure: ExpansionStructure, c: int) -> list:
@@ -128,32 +131,40 @@ def components_at_codim(structure: ExpansionStructure, c: int) -> list:
     return sorted(comps)
 
 
-def is_stable(points, c: int) -> bool:
-    occupied = frozenset().union(*(point_levels(p) for p in points))
-    return occupied == frozenset(range(1, c))
+def is_stable(covered: int, c: int) -> bool:
+    """Whether points covering the levels in the bitmask `covered` occupy
+    every expansion level 1..c-1 of codimension c."""
+    return covered == (1 << c) - 2
 
 
-def all_stable(structure: ExpansionStructure, c: int, m: int = 2) -> list[tuple]:
-    """Stable m-point types of codimension c, in combinations_with_replacement
-    order over components_at_codim: each point takes a component index at or
-    after the previous point's, so every type comes out once and already
-    sorted, and is_stable is the test at the leaf."""
-    comps = components_at_codim(structure, c)
-    levels = [point_levels(p) for p in comps]
+def all_stable(structure: ExpansionStructure, c: int, m: int = 2) -> list[tuple[int, ...]]:
+    """Stable m-point types of codimension c, each the sorted tuple of its
+    indices into components_at_codim, in combinations_with_replacement order:
+    each point takes an index at or after the previous point's, so every type
+    comes out once and already sorted.  A partial choice is dropped once its
+    uncovered levels outnumber twice the points still to place; is_stable is
+    the one test of each full choice."""
+    masks = [level_mask(p) for p in components_at_codim(structure, c)]
+    full = (1 << c) - 2
+    n = len(masks)
     out = []
 
-    def extend(start: int, chosen: tuple, covered: frozenset) -> None:
-        left = m - len(chosen)
-        if c - 1 - len(covered) > 2 * left:
+    def extend(start: int, chosen: tuple, covered: int, left: int) -> None:
+        if (full & ~covered).bit_count() > 2 * left:
             return
-        if not left:
-            if is_stable(chosen, c):
-                out.append(chosen)
+        if left == 1:
+            for i in range(start, n):
+                if is_stable(covered | masks[i], c):
+                    out.append(chosen + (i,))
             return
-        for i in range(start, len(comps)):
-            extend(i, chosen + (comps[i],), covered | levels[i])
+        for i in range(start, n):
+            extend(i, chosen + (i,), covered | masks[i], left - 1)
 
-    extend(0, (), frozenset())
+    if m:
+        extend(0, (), 0, m)
+    elif is_stable(0, c):
+        # Hilb^0 is a point: the empty type, at codimension 1 only
+        out.append(())
     return out
 
 
@@ -250,8 +261,9 @@ def enumerate_cases(model: SurfaceModel, k: int) -> CaseBreakdown:
 
     Each family iterates over actual strata of the model (vertices, double
     curves, triple points and their incidences); nothing is hard-coded.  A
-    type is the sorted component tuple that all_stable yields.  Families that
-    cannot occur on a model (no types) are omitted.
+    type is a sorted tuple of components: the components that the index
+    tuple all_stable yields names.  Families that cannot occur on a model
+    (no types) are omitted.
     """
     if not 0 <= k <= 4:
         raise ValueError("dimension out of range for two points")
@@ -338,15 +350,18 @@ def build_pi(model: SurfaceModel, m: int = 2):
     """
     structure = structure_for(model)
     levels = []
+    comps_by_level = []
     while types := all_stable(structure, len(levels) + 1, m):
         levels.append(types)
+        comps_by_level.append(components_at_codim(structure, len(levels)))
 
     breakdowns = []
     if m == 2:
         for k, types in enumerate(levels):
             breakdown = enumerate_cases(model, k)
             listed = Counter(t for ts in breakdown.families.values() for t in ts)
-            stable = Counter(types)
+            comps = comps_by_level[k]
+            stable = Counter(tuple([comps[i] for i in t]) for t in types)
             if listed != stable:
                 raise EnumerationMismatch(
                     f"case census and stable types disagree at dimension {k}",
@@ -363,25 +378,21 @@ def build_pi(model: SurfaceModel, m: int = 2):
                 )
             breakdowns.append(breakdown)
 
-    # components are numbered once per codimension in components_at_codim
-    # order, which is sorted, so a type is its sorted tuple of indices and
-    # its label one join of names formatted once.  Each facet, sorted, is
-    # looked up among the types of the level below; one that is not a
-    # stable type keeps its own key, which validate reports as a dangling
-    # face id
+    # a type is its sorted tuple of indices into components_at_codim, which
+    # is sorted, and its label one join of names formatted once per level.
+    # Each facet, sorted, is looked up among the types of the level below;
+    # one that is not a stable type keeps its own key, which validate
+    # reports as a dangling face id
     below: dict[tuple, str] = {}
     cells = []
     for k, types in enumerate(levels):
-        comps = components_at_codim(structure, k + 1)
-        index = {p: j for j, p in enumerate(comps)}
-        names = [point_str(p) for p in comps]
+        names = [point_str(p) for p in comps_by_level[k]]
         prefix = f"c{k + 1}:"
         # vertices have no facet slots
         tables, targets = collapse_tables(structure, k + 1) if k else ([], [])
         slots = [(table, (-1) ** i) for i, table in enumerate(tables)]
         keys = {}
-        for points in types:
-            indices = tuple(index[p] for p in points)
+        for indices in types:
             faces = []
             for table, sign in slots:
                 facet = tuple(sorted([table[j] for j in indices]))

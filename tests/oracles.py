@@ -17,7 +17,6 @@ from degex.expansion import BlowupAssignment
 from degex.hilb import (
     all_stable,
     components_at_codim,
-    is_stable,
     point_str,
     structure_for,
     type_key,
@@ -180,14 +179,28 @@ def elimination_homology(K: DeltaComplex):
     return betti, [d for d in factors[2] if d > 1]
 
 
+def occupies_every_level(points, c: int) -> bool:
+    """Whether the components occupy every expansion level 1..c-1: an edge
+    bundle sits on its one level, a corner box on its two, a surface
+    component on none.  Shares no code with ``hilb.is_stable``."""
+    return {level for p in points if p[0] != "Y" for level in p[2:]} == set(range(1, c))
+
+
 def brute_force_stable(structure, c: int, m: int):
     """Every multiset of m components of codimension c, filtered by
-    is_stable, as sorted tuples."""
+    occupies_every_level, as sorted tuples."""
     return [
         tuple(sorted(pts))
         for pts in combinations_with_replacement(components_at_codim(structure, c), m)
-        if is_stable(pts, c)
+        if occupies_every_level(pts, c)
     ]
+
+
+def stable_points(structure, c: int, m: int):
+    """all_stable's types as tuples of components, in its order: each index
+    into components_at_codim replaced by its component."""
+    comps = components_at_codim(structure, c)
+    return [tuple(comps[i] for i in t) for t in all_stable(structure, c, m)]
 
 
 def case_collapse_point(p, i: int, c: int, structure):
@@ -240,7 +253,7 @@ def key_per_facet_cells(model, m: int) -> list[Cell]:
 
     structure = structure_for(model)
     levels = []
-    while types := all_stable(structure, len(levels) + 1, m):
+    while types := stable_points(structure, len(levels) + 1, m):
         levels.append(types)
     cells = []
     for k, types in enumerate(levels):

@@ -24,8 +24,9 @@ from degex.complexes import (
     validate,
 )
 from degex.expansion import get_assignment, subdivide
+from degex.hilb import build_pi
 from degex.linalg import rank_over_rationals, smith_normal_form
-from degex.models import quartic_model
+from degex.models import get_model, quartic_model
 
 from oracles import elimination_homology, face_relation_signature, unit_eliminate
 
@@ -177,6 +178,52 @@ def test_a_coefficient_of_two_is_never_paired():
     assert betti_numbers(K) == (1, 0, 0)
     assert h1_torsion(K) == [2]
     assert elimination_homology(K) == ((1, 0, 0), [2])
+
+
+def subdivided_sphere(name: str, n: int) -> DeltaComplex:
+    model = get_model(name)
+    kind = "default" if name == "quartic" else "labeling"
+    return subdivide(model, get_assignment(model, kind), n).cells
+
+
+# pinned Morse boundaries and critical cells per degree.  Each complex
+# removes pairs whose removed cell has a critical part, and the coface
+# update of those pairs makes the RP^2 entries; every other pair's update
+# changes nothing and is skipped
+@pytest.mark.parametrize(
+    "build, entries, critical",
+    [
+        pytest.param(projective_plane, [[], [[0]], [[-2]]], (1, 1, 1), id="rp2"),
+        pytest.param(
+            projective_plane_with_a_doubled_edge,
+            [[], [[0]], [[2]]],
+            (1, 1, 1),
+            id="rp2-doubled-edge",
+        ),
+        pytest.param(
+            lambda: build_pi(get_model("quartic"))[0],
+            [[], [[]], [], [[]], []],
+            (1, 0, 1, 0, 1),
+            id="quartic-hilb2",
+        ),
+        pytest.param(
+            lambda: build_pi(get_model("cube"))[0],
+            [[], [[]], [], [[]], []],
+            (1, 0, 1, 0, 1),
+            id="cube-hilb2",
+        ),
+        pytest.param(
+            lambda: subdivided_sphere("quartic", 3), [[], [[]], []], (1, 0, 1), id="quartic-n3"
+        ),
+        pytest.param(
+            lambda: subdivided_sphere("cube", 3), [[], [[]], []], (1, 0, 1), id="cube-n3"
+        ),
+    ],
+)
+def test_coreduction_leaves_the_pinned_morse_complex(build, entries, critical):
+    morse = _morse_boundaries(build())
+    assert [M.entries for M in morse] == entries
+    assert tuple(M.cols for M in morse) == critical
 
 
 def test_a_complex_is_coreduced_once(monkeypatch):

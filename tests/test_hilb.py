@@ -41,6 +41,7 @@ from oracles import (
     classify_config,
     face_relation_signature,
     key_per_facet_cells,
+    stable_points,
     stable_type_count,
 )
 
@@ -359,6 +360,40 @@ def test_codim5_is_deepest():
     assert all_stable(s, 6) == []
 
 
+@pytest.mark.parametrize("model", ["quartic", "cube"])
+def test_hilb0_is_one_point(model):
+    # the empty type occupies every level only at codimension 1
+    built = get_model(model)
+    s = structure_for(built)
+    assert [all_stable(s, c, 0) for c in (1, 2, 3)] == [[()], [], []]
+    K, breakdowns = build_pi(built, 0)
+    assert [tuple(c) for c in K.cells()] == [("c1:", 0, "", ())]
+    assert breakdowns == []
+    assert betti_numbers(K) == (1,)
+
+
+@pytest.mark.parametrize("model, calls, kept", [("quartic", 1832, 333), ("cube", 6891, 1263)])
+def test_the_leaf_test_refuses_full_choices_at_every_codimension_from_two(
+    monkeypatch, model, calls, kept
+):
+    # the prune runs only while points are left to place, so is_stable is
+    # the one test of every full choice, and it is not vacuous
+    test = hilb.is_stable
+    results = []
+
+    def counted(covered, c):
+        result = test(covered, c)
+        results.append((c, result))
+        return result
+
+    monkeypatch.setattr(hilb, "is_stable", counted)
+    K, _ = build_pi(get_model(model), 2)
+    assert len(results) == calls
+    assert sum(result for _, result in results) == kept == len(K)
+    assert {c for c, result in results if not result} == {2, 3, 4, 5}
+    assert {c for c, result in results if result} == {1, 2, 3, 4, 5}
+
+
 # cube m=3 is left out: the brute-force filter alone takes about 5 s there
 @pytest.mark.parametrize(
     "model, m", [("quartic", 1), ("quartic", 2), ("quartic", 3), ("cube", 1), ("cube", 2)]
@@ -366,7 +401,7 @@ def test_codim5_is_deepest():
 def test_all_stable_equals_the_brute_force_filter(model, m):
     s = structure_for(get_model(model))
     for c in range(1, 2 * m + 3):
-        assert all_stable(s, c, m) == brute_force_stable(s, c, m)
+        assert stable_points(s, c, m) == brute_force_stable(s, c, m)
 
 
 @pytest.mark.parametrize("model", ["quartic", "cube"])
@@ -407,17 +442,19 @@ def _points_from_key(key: str):
 
 
 def test_canonicalization_idempotent_and_exchange_invariant():
-    # a type is its sorted tuple of components: all_stable yields every type
-    # exactly once and already sorted, so no caller sorts it again
+    # a type is its sorted tuple of component indices, and the components
+    # are numbered in sorted order: all_stable yields every type exactly
+    # once and already sorted, so no caller sorts it again
     p1 = ("E", ("Y1", "Y2"), 1)
     p2 = ("B", ("Y1", "Y2", "Y3"), 1, 2)
     for model in ("quartic", "cube"):
         s = structure_for(get_model(model))
         for c in range(1, 7):
-            types = all_stable(s, c)
+            types = stable_points(s, c, 2)
             assert all(list(points) == sorted(points) for points in types)
             assert len(set(types)) == len(types)
-    types = all_stable(structure_for(quartic_model()), 3)
+            assert all(list(t) == sorted(t) for t in all_stable(s, c))
+    types = stable_points(structure_for(quartic_model()), 3, 2)
     assert (p2, p1) in types and (p1, p2) not in types
     assert type_key(3, (p2, p1)) == "c3:B[Y1|Y2|Y3]@1,2 + E[Y1|Y2]@1"
 

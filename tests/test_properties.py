@@ -28,7 +28,7 @@ from degex.complexes import (
     validate,
 )
 from degex.expansion import check_gluing, get_assignment, subdivide
-from degex.hilb import all_stable, build_pi, is_stable, structure_for
+from degex.hilb import build_pi, structure_for
 from degex.linalg import rank_over_rationals, smith_normal_form
 from degex.models import cube_model, find_3_labeling, quartic_model
 
@@ -40,8 +40,10 @@ from oracles import (
     gcd_of_minors,
     int_matrix,
     labeling_is_valid,
+    occupies_every_level,
     product_identity_residual,
     rank_oracle_gauss,
+    stable_points,
     unit_eliminate,
 )
 
@@ -167,15 +169,15 @@ POINT_POOL = [
 @FIXED
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 5))
 def test_canonicalization_idempotent_and_exchange_invariant(i, j, c):
-    # a type is its sorted tuple of components: all_stable yields every type
-    # exactly once and already sorted, so the pair (p, q) shows up once, in
-    # sorted order, exactly when it is stable
+    # a type is its sorted tuple of component indices: all_stable yields
+    # every type exactly once and already sorted, so the pair (p, q) shows up
+    # once, in sorted order, exactly when it occupies every level
     p, q = POINT_POOL[i], POINT_POOL[j]
-    types = all_stable(structure_for(quartic_model()), c)
+    types = stable_points(structure_for(quartic_model()), c, 2)
     assert all(list(points) == sorted(points) for points in types)
     assert len(set(types)) == len(types)
     pair = tuple(sorted((p, q)))
-    assert types.count(pair) == is_stable(pair, c)
+    assert types.count(pair) == occupies_every_level(pair, c)
     assert p == q or pair[::-1] not in types
 
 
