@@ -18,7 +18,7 @@ endpoint.
 Realization is combinatorial.  Each side of an edge, that is the edge as
 one adjacent triangle sees it, has one level list: level k sits at P_k from
 the side's distinguished endpoint, levels 0 and n+1 being the endpoints
-(`edge_sides` is the one place that collects the distinguished endpoints).
+(`edge_sides`).  `edge_orientation` is the one owner of gluing agreement.
 The node census, each node's levels and the segment symbols derive from the
 level lists: segment t_l runs from level l-1 to level l.  A node that only
 the neighbouring triangle places on a shared edge is a foreign point and
@@ -83,12 +83,6 @@ class BlowupAssignment:
         if missing or extra:
             raise ValueError(f"assignment does not match model: missing={missing} extra={extra}")
 
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"vertices": list(t), "first": f, "second": s}
-            for t, (f, s) in sorted(self.pairs.items())
-        ]
-
 
 def edge_roles(assignment: BlowupAssignment, tri) -> dict[str, tuple[Pair, str]]:
     """The triangle's F-S, S-T and F-T edges, each with its distinguished
@@ -105,6 +99,23 @@ def edge_sides(model: SurfaceModel, assignment: BlowupAssignment) -> dict:
         for e, dist in edge_roles(assignment, tri).values():
             sides.setdefault(e, {})[tri] = dist
     return sides
+
+
+def edge_orientation(model: SurfaceModel, assignment: BlowupAssignment) -> dict:
+    """{edge: distinguished endpoint} of a gluing assignment, the endpoint
+    both adjacent triangles read the edge's levels from.  An assignment whose
+    sides disagree on an edge does not glue, and is refused there."""
+    assignment.validate_for(model)
+    orientation = {}
+    for e, sides in sorted(edge_sides(model, assignment).items()):
+        dist, *others = set(sides.values())
+        if others:
+            raise ValueError(
+                f"assignment does not glue on {e}; build the complex "
+                "with a gluing assignment"
+            )
+        orientation[e] = dist
+    return orientation
 
 
 def grid_side(a: int, b: int, n: int) -> tuple[str, int] | None:
@@ -422,8 +433,6 @@ def check_gluing(E: ExpandedComplex) -> GluingReport:
     for e in sorted(placed):
         sides = placed[e]
         tris = sorted(sides)
-        if len(tris) != 2:
-            continue
 
         def side_view(t):
             symbols = tuple(s["symbol"] for s in E.colored_segments[e][t])
@@ -453,25 +462,28 @@ def check_gluing(E: ExpandedComplex) -> GluingReport:
 def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
     """Report every subdivision node whose sides disagree on its arrows.
 
-    Each adjacent triangle gives a node one arrow per level, pointing along
-    the carrier edge toward that side's distinguished endpoint; both come
-    from the node census (`EdgeNode.levels`, `distinguished`).  Positions
-    are strictly increasing, so each side gives a node exactly one level.
-    The owning triangle always agrees with its own arrow at a chord
-    endpoint, so a chord can only disagree where another side's arrow
-    differs, which is a node mismatch: chords need no check of their own.
+    Each side that places a node gives it one arrow, at its level, pointing
+    along the carrier edge toward that side's distinguished endpoint; both
+    come from the node census (`EdgeNode.levels`, `distinguished`).  A node
+    only one side places gets no arrow from the other, whose torus moves it
+    along its segment, a conflict of its own kind; so the check passes
+    exactly when the sides of every edge agree, that is when the assignment
+    glues.  The owning triangle always agrees with its own arrow at a chord
+    endpoint, so a chord can only disagree where a node does: chords need no
+    check of their own.
     """
     conflicts = []
     for node in sorted(E.edge_nodes, key=lambda node: node.cell_id):
         arrows = {
-            t: {str(level): _vid(E.distinguished[node.edge][t])}
-            for t, level in node.levels.items()
+            t: {str(node.levels[t]): _vid(dist)} if t in node.levels else {}
+            for t, dist in E.distinguished[node.edge].items()
         }
         if len({tuple(a.items()) for a in arrows.values()}) > 1:
+            one_sided = len(node.levels) == 1
             conflicts.append(
                 {
                     "cell": node.cell_id,
-                    "kind": "node arrow mismatch",
+                    "kind": "node placed by one side" if one_sided else "node arrow mismatch",
                     "sides": [{"triangle": list(t), "arrows": a} for t, a in arrows.items()],
                 }
             )

@@ -17,8 +17,11 @@ k-simplices of the dual complex correspond to types of base codimension
 k+1.  The k+1 facet slots un-vanish one base coordinate each: slot i
 contracts segment t_i of the expansion's level grid (levels i-1 and i
 merge), and `expansion.grid_side` names where each component lands.  The
-contractions satisfy the simplicial identities d_i d_j = d_{j-1} d_i for
-i < j, so the alternating-sign boundary squares to zero.
+maps read the gluing as `expansion.edge_orientation` and `edge_roles` of
+the assignment `builtin_assignment` picks; stable types read only the
+model.  The contractions satisfy the simplicial identities
+d_i d_j = d_{j-1} d_i for i < j, so the alternating-sign boundary squares
+to zero.
 
 The complex is built from one concept: every stable type is a cell, its
 faces are given by the facet maps, and validation proves every facet is
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, zip_longest
 
 from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector, validate
-from .expansion import BlowupAssignment, edge_roles, edge_sides, get_assignment, grid_side
+from .expansion import BlowupAssignment, edge_orientation, edge_roles, get_assignment, grid_side
 from .models import SurfaceModel, get_model
 
 # f-vector of the known 10-vertex simplicial triangulation of CP^2; the
@@ -62,33 +65,9 @@ INDEX_CONVENTION_NOTE = (
 )
 
 
-class ExpansionStructure:
-    """Distinguished endpoints and corner roles induced by an assignment."""
-
-    def __init__(self, model: SurfaceModel, assignment: BlowupAssignment):
-        assignment.validate_for(model)
-        self.model = model
-        self.assignment = assignment
-        self.distinguished: dict = {}
-        self.far_end: dict = {}
-        for e, sides in sorted(edge_sides(model, assignment).items()):
-            dist, *others = set(sides.values())
-            if others:
-                raise ValueError(
-                    f"assignment does not glue on {e}; build the complex "
-                    "with a gluing assignment"
-                )
-            self.distinguished[e] = dist
-            self.far_end[e] = e[0] if e[1] == dist else e[1]
-        self.role_edges = {
-            tri: {role: e for role, (e, _) in edge_roles(assignment, tri).items()}
-            for tri in model.triangles
-        }
-
-
-def structure_for(model: SurfaceModel) -> ExpansionStructure:
-    kind = "default" if model.name == "quartic" else "labeling"
-    return ExpansionStructure(model, get_assignment(model, kind))
+def builtin_assignment(model: SurfaceModel) -> BlowupAssignment:
+    """The gluing assignment the complex is built with."""
+    return get_assignment(model, "default" if model.name == "quartic" else "labeling")
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +97,7 @@ def level_mask(p) -> int:
     return 1 << p[2] | 1 << p[3]
 
 
-def components_at_codim(structure: ExpansionStructure, c: int) -> list:
-    model = structure.model
+def components_at_codim(model: SurfaceModel, c: int) -> list:
     comps = [("Y", v) for v in model.vertices]
     comps += [("E", e, k) for e in model.edges for k in range(1, c)]
     comps += [
@@ -137,14 +115,14 @@ def is_stable(covered: int, c: int) -> bool:
     return covered == (1 << c) - 2
 
 
-def all_stable(structure: ExpansionStructure, c: int, m: int = 2) -> list[tuple[int, ...]]:
+def all_stable(model: SurfaceModel, c: int, m: int = 2) -> list[tuple[int, ...]]:
     """Stable m-point types of codimension c, each the sorted tuple of its
     indices into components_at_codim, in combinations_with_replacement order:
     each point takes an index at or after the previous point's, so every type
     comes out once and already sorted.  A partial choice is dropped once its
     uncovered levels outnumber twice the points still to place; is_stable is
     the one test of each full choice."""
-    masks = [level_mask(p) for p in components_at_codim(structure, c)]
+    masks = [level_mask(p) for p in components_at_codim(model, c)]
     full = (1 << c) - 2
     n = len(masks)
     out = []
@@ -172,11 +150,12 @@ def all_stable(structure: ExpansionStructure, c: int, m: int = 2) -> list[tuple[
 # facet maps
 
 
-def collapse_point(p, i: int, c: int, structure: ExpansionStructure):
+def collapse_point(p, i: int, c: int, roles: dict, orientation: dict):
     """Limit of a component when the level-i base coordinate un-vanishes:
     segment t_i of the level grid contracts, so level l stays l for l < i
-    and becomes l - 1 otherwise, on the grid of depth c - 2.  An edge level
-    0 or c - 1 is the edge's distinguished or far endpoint."""
+    and becomes l - 1 otherwise, on the grid of depth c - 2.  A box landing
+    on a side of its triangle lands on that side's edge in `roles`, and an
+    edge level 0 or c - 1 is the edge's `orientation` endpoint or its other."""
     if p[0] == "Y":
         return p
 
@@ -190,22 +169,25 @@ def collapse_point(p, i: int, c: int, structure: ExpansionStructure):
         side = grid_side(j, k, c - 2)
         if side is None:
             return ("B", t, j, k)
-        e, level = structure.role_edges[t][side[0]], side[1]
+        e, level = roles[t][side[0]][0], side[1]
     if 0 < level < c - 1:
         return ("E", e, level)
-    return ("Y", structure.distinguished[e] if level == 0 else structure.far_end[e])
+    dist = orientation[e]
+    return ("Y", dist if level == 0 else (e[1] if e[0] == dist else e[0]))
 
 
-def collapse_tables(structure: ExpansionStructure, c: int) -> tuple[list, list]:
+def collapse_tables(
+    model: SurfaceModel, c: int, roles: dict, orientation: dict
+) -> tuple[list, list]:
     """Collapse map of each facet slot i = 1..c as an index table; slot i
     un-vanishes the i-th base coordinate.  Entry j of a table is the index of
     the image of component j of codimension c in the returned list of
     targets: the components of codimension c - 1, then every image that is
     not one of them (only a broken collapse map makes one)."""
-    comps = components_at_codim(structure, c)
-    index = {p: j for j, p in enumerate(components_at_codim(structure, c - 1))}
+    comps = components_at_codim(model, c)
+    index = {p: j for j, p in enumerate(components_at_codim(model, c - 1))}
     tables = [
-        [index.setdefault(collapse_point(p, i, c, structure), len(index)) for p in comps]
+        [index.setdefault(collapse_point(p, i, c, roles, orientation), len(index)) for p in comps]
         for i in range(1, c + 1)
     ]
     return tables, list(index)
@@ -348,12 +330,14 @@ def build_pi(model: SurfaceModel, m: int = 2):
     census of every level; for other m it is empty.  Any disagreement, or a
     complex failing validation, raises EnumerationMismatch.
     """
-    structure = structure_for(model)
+    assignment = builtin_assignment(model)
+    roles = {t: edge_roles(assignment, t) for t in model.triangles}
+    orientation = edge_orientation(model, assignment)
     levels = []
     comps_by_level = []
-    while types := all_stable(structure, len(levels) + 1, m):
+    while types := all_stable(model, len(levels) + 1, m):
         levels.append(types)
-        comps_by_level.append(components_at_codim(structure, len(levels)))
+        comps_by_level.append(components_at_codim(model, len(levels)))
 
     breakdowns = []
     if m == 2:
@@ -389,7 +373,7 @@ def build_pi(model: SurfaceModel, m: int = 2):
         names = [point_str(p) for p in comps_by_level[k]]
         prefix = f"c{k + 1}:"
         # vertices have no facet slots
-        tables, targets = collapse_tables(structure, k + 1) if k else ([], [])
+        tables, targets = collapse_tables(model, k + 1, roles, orientation) if k else ([], [])
         slots = [(table, (-1) ** i) for i, table in enumerate(tables)]
         keys = {}
         for indices in types:

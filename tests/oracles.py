@@ -16,9 +16,9 @@ from degex.complexes import Cell, DeltaComplex, boundary_matrix, f_vector
 from degex.expansion import BlowupAssignment
 from degex.hilb import (
     all_stable,
+    builtin_assignment,
     components_at_codim,
     point_str,
-    structure_for,
     type_key,
 )
 from degex.linalg import IntMatrix
@@ -186,52 +186,58 @@ def occupies_every_level(points, c: int) -> bool:
     return {level for p in points if p[0] != "Y" for level in p[2:]} == set(range(1, c))
 
 
-def brute_force_stable(structure, c: int, m: int):
+def brute_force_stable(model, c: int, m: int):
     """Every multiset of m components of codimension c, filtered by
     occupies_every_level, as sorted tuples."""
     return [
         tuple(sorted(pts))
-        for pts in combinations_with_replacement(components_at_codim(structure, c), m)
+        for pts in combinations_with_replacement(components_at_codim(model, c), m)
         if occupies_every_level(pts, c)
     ]
 
 
-def stable_points(structure, c: int, m: int):
+def stable_points(model, c: int, m: int):
     """all_stable's types as tuples of components, in its order: each index
     into components_at_codim replaced by its component."""
-    comps = components_at_codim(structure, c)
-    return [tuple(comps[i] for i in t) for t in all_stable(structure, c, m)]
+    comps = components_at_codim(model, c)
+    return [tuple(comps[i] for i in t) for t in all_stable(model, c, m)]
 
 
-def case_collapse_point(p, i: int, c: int, structure):
+def case_collapse_point(p, i: int, c: int, assignment):
     """Limit of a component when the level-i base coordinate un-vanishes, by
     cases on the slot and the component's levels; shares no code with the
-    library's segment contraction (``hilb.collapse_point``)."""
+    library's segment contraction (``hilb.collapse_point``), nor with
+    ``expansion.edge_roles`` or ``edge_orientation``: the edges and their
+    endpoints are read off the assignment's (F, S, T) roles here."""
     if p[0] == "Y":
         return p
     if p[0] == "E":
         _, e, k = p
+        # in a triangle through e, the F-T edge is read from T, the others from S
+        F, S, T = assignment.roles(next(t for t in assignment.pairs if set(e) <= set(t)))
+        near = T if set(e) == {F, T} else S
+        (far,) = set(e) - {near}
         if i == 1:
-            return ("Y", structure.distinguished[e]) if k == 1 else ("E", e, k - 1)
+            return ("Y", near) if k == 1 else ("E", e, k - 1)
         if i == c:
-            return ("Y", structure.far_end[e]) if k == c - 1 else ("E", e, k)
+            return ("Y", far) if k == c - 1 else ("E", e, k)
         if k <= i - 2:
             return ("E", e, k)
         if k in (i - 1, i):
             return ("E", e, i - 1)
         return ("E", e, k - 1)
     _, t, j, k = p
-    edges = structure.role_edges[t]
+    F, S, T = assignment.roles(t)
     if i == 1:
         if j == 1:
-            return ("E", edges["ST"], k - 1)
+            return ("E", tuple(sorted((S, T))), k - 1)
         return ("B", t, j - 1, k - 1)
     if i == c:
         if k == c - 1:
-            return ("E", edges["FT"], j)
+            return ("E", tuple(sorted((F, T))), j)
         return ("B", t, j, k)
     if (j, k) == (i - 1, i):
-        return ("E", edges["FS"], i - 1)
+        return ("E", tuple(sorted((F, S))), i - 1)
 
     def merged(level: int) -> int:
         return level if level <= i - 1 else level - 1
@@ -251,9 +257,9 @@ def key_per_facet_cells(model, m: int) -> list[Cell]:
     def key(c, points):
         return f"c{c}:" + label(points)
 
-    structure = structure_for(model)
+    assignment = builtin_assignment(model)
     levels = []
-    while types := stable_points(structure, len(levels) + 1, m):
+    while types := stable_points(model, len(levels) + 1, m):
         levels.append(types)
     cells = []
     for k, types in enumerate(levels):
@@ -261,7 +267,7 @@ def key_per_facet_cells(model, m: int) -> list[Cell]:
         # vertices have no facet slots
         slots = range(1, c + 1) if k else ()
         for points in types:
-            facets = [[case_collapse_point(p, i, c, structure) for p in points] for i in slots]
+            facets = [[case_collapse_point(p, i, c, assignment) for p in points] for i in slots]
             faces = tuple((key(k, f), (-1) ** i) for i, f in enumerate(facets))
             cells.append(Cell(key(c, points), k, label(points), faces))
     return cells
@@ -513,6 +519,14 @@ def bad_quartic_assignment() -> BlowupAssignment:
             ("Y2", "Y3", "Y4"): ("Y4", "Y3"),
         }
     )
+
+
+def assignment_to_json_obj(assignment: BlowupAssignment) -> list[dict]:
+    """The assignment-file ``triangles`` list of an assignment."""
+    return [
+        {"vertices": list(t), "first": f, "second": s}
+        for t, (f, s) in sorted(assignment.pairs.items())
+    ]
 
 
 def certificate_to_json_obj(cert) -> dict:

@@ -15,7 +15,7 @@ from degex.expansion import get_assignment
 from degex.models import quartic_model
 from degex.projectivity import builtin_certificates
 
-from oracles import certificates_to_json
+from oracles import assignment_to_json_obj, bad_quartic_assignment, certificates_to_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -94,6 +94,33 @@ def test_expand_bad_assignment_fails_on_Y2_Y3(tmp_path, capsys):
     assert code == 1
     edges = [f["edge"] for f in report["results"]["gluing"]["failures"]]
     assert ["Y2", "Y3"] in edges
+
+
+@pytest.mark.parametrize("n, params, one_sided", [("1", "1/7", 4), ("2", "1/5,1/3", 8)])
+def test_expand_reports_nodes_one_side_places_as_torus_conflicts(
+    n, params, one_sided, tmp_path, capsys
+):
+    # at these positions the sides of a failing edge share no node: each
+    # node one side places is moved along its segment by the other's torus
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"triangles": assignment_to_json_obj(bad_quartic_assignment())}))
+    argv = ["expand", "quartic", "--n", n, "--assignment", f"@{path}", "--params", params]
+    code, report = invoke(argv, capsys)
+    assert code == 1
+    results = report["results"]
+    assert len(results["gluing"]["failures"]) == 2
+    nodes = {
+        node["edge"][0] + "|" + node["edge"][1] + "@" + node["position"]
+        for node in results["expanded"]["edge_nodes"]
+        if len(node["levels"]) == 1
+    }
+    assert len(nodes) == one_sided
+    torus = results["torus"]
+    assert torus["compatible"] is False
+    assert {c["cell"] for c in torus["conflicts"]} == {f"x:{node}" for node in nodes}
+    for conflict in torus["conflicts"]:
+        assert conflict["kind"] == "node placed by one side"
+        assert sorted(len(side["arrows"]) for side in conflict["sides"]) == [0, 1]
 
 
 def test_expand_cube_labeling(capsys):
@@ -429,7 +456,7 @@ def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
     [
         [{"opposite": "Y4", "first": "Y1", "second": "Y2"}],
         {"triangles": [["Y1", "Y2", "Y3"]]},
-        {"triangles": get_assignment(quartic_model(), "default").to_json_obj()
+        {"triangles": assignment_to_json_obj(get_assignment(quartic_model(), "default"))
          + [{"opposite": "Y4", "first": "Y1", "second": "Y2"}]},
         {"triangles": [{"opposite": "Y4", "first": "Y1"}]},
         {"triangles": [{"vertices": 5, "first": "Y1", "second": "Y2"}]},
@@ -446,7 +473,7 @@ def test_malformed_assignment_file_is_one_line_usage_error(payload, tmp_path, ca
 
 def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assignment = {"triangles": get_assignment(quartic_model(), "default").to_json_obj()}
+    assignment = {"triangles": assignment_to_json_obj(get_assignment(quartic_model(), "default"))}
     (tmp_path / "my_assignment.json").write_text(json.dumps(assignment))
     lines = [line for line in README.read_text().splitlines() if line.startswith("degex ")]
     assert lines

@@ -269,6 +269,8 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
         # regions must take them into their boundary cycles
         E = subdivide(m, assignment, 2, positions=[Fraction(1, 5), Fraction(1, 2)])
         with_foreign_nodes += any(len(node.levels) == 1 for node in E.edge_nodes)
+        # a node only one side places is a torus conflict too
+        assert check_torus_compatibility(E).compatible == check_gluing(E).glues
         assert_levels_follow_their_definition(E)
         assert validate(E.cells) == []
         assert closed_surface(E.cells)
@@ -295,6 +297,8 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
             assignment = BlowupAssignment({t: tuple(rng.sample(t, 2)) for t in m.triangles})
             E = subdivide(m, assignment, 3, positions=positions)
             with_foreign_nodes += any(len(node.levels) == 1 for node in E.edge_nodes)
+            # here the sides of a failing edge share no node at all
+            assert check_torus_compatibility(E).compatible == check_gluing(E).glues
             assert validate(E.cells) == []
             assert euler_characteristic(E.cells) == 2
             assert betti_numbers(E.cells) == (1, 0, 1)

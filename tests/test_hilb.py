@@ -17,22 +17,27 @@ from degex.complexes import (
     h1_torsion,
     validate,
 )
-from degex.expansion import edge_roles, subdivide
+from degex.expansion import edge_orientation, edge_roles, subdivide
 from degex.hilb import (
     REFERENCE_CP2_10_VERTEX,
     EnumerationMismatch,
-    ExpansionStructure,
     all_stable,
     build_pi,
+    builtin_assignment,
     collapse_point,
     compare_with_reference,
     components_at_codim,
     enumerate_cases,
     homology_report,
-    structure_for,
     type_key,
 )
-from degex.models import cube_model, get_model, make_surface_model, quartic_model
+from degex.models import (
+    cube_model,
+    find_3_labeling,
+    get_model,
+    make_surface_model,
+    quartic_model,
+)
 
 from oracles import (
     bad_quartic_assignment,
@@ -61,22 +66,38 @@ CUBE_BREAKDOWNS = {
 }
 
 
+def facet_maps(surface):
+    """The role edges and edge orientation the facet maps read, as build_pi
+    makes them from the complex's built-in assignment."""
+    assignment = builtin_assignment(surface)
+    roles = {t: edge_roles(assignment, t) for t in surface.triangles}
+    return roles, edge_orientation(surface, assignment)
+
+
 @pytest.mark.parametrize("model", ["quartic", "cube"])
 def test_structure_reads_every_edge_from_its_distinguished_endpoint(model):
-    s = structure_for(get_model(model))
-    for tri in s.model.triangles:
-        F, S, T = s.assignment.roles(tri)
+    # both built-in assignments read every edge from its later vertex in
+    # their vertex order: Y1 < Y4 < Y3 < Y2, and labels 1 < 3 < 2
+    surface = get_model(model)
+    assignment = builtin_assignment(surface)
+    orientation = edge_orientation(surface, assignment)
+    if model == "quartic":
+        rank = {v: ["Y1", "Y4", "Y3", "Y2"].index(v) for v in surface.vertices}
+    else:
+        rank = {v: [1, 3, 2].index(label) for v, label in find_3_labeling(surface).items()}
+    for tri in surface.triangles:
+        F, S, T = assignment.roles(tri)
         for (a, b), dist in (((F, S), S), ((S, T), S), ((F, T), T)):
             e = tuple(sorted((a, b)))
-            assert s.distinguished[e] == dist
-            assert s.far_end[e] == (a if dist == b else b)
-    assert len(s.distinguished) == len(s.model.edges)
+            assert orientation[e] == dist == max(e, key=rank.__getitem__)
+            assert set(e) == {orientation[e], a if dist == b else b}
+    assert len(orientation) == len(surface.edges)
 
 
 def test_a_structure_needs_a_gluing_assignment():
     # the named edge is the first one check_gluing reports
     with pytest.raises(ValueError, match=r"does not glue on \('Y1', 'Y4'\)"):
-        ExpansionStructure(quartic_model(), bad_quartic_assignment())
+        edge_orientation(quartic_model(), bad_quartic_assignment())
 
 
 def test_quartic_case_breakdowns_match_proof():
@@ -187,11 +208,11 @@ def test_specialize_vertex_matches_incidence():
 def test_facet_outside_the_stable_types_is_a_dangling_face(monkeypatch):
     collapse_point = hilb.collapse_point
 
-    def leaky(p, i, c, structure):
+    def leaky(p, i, c, roles, orientation):
         # send one component of the codimension-2 fibre nowhere
         if (p, i, c) == (("Y", "Y1"), 1, 2):
             return ("Y", "Y0")
-        return collapse_point(p, i, c, structure)
+        return collapse_point(p, i, c, roles, orientation)
 
     monkeypatch.setattr(hilb, "collapse_point", leaky)
     with pytest.raises(EnumerationMismatch) as exc:
@@ -216,25 +237,28 @@ def test_cells_match_the_key_per_facet_construction(model, m):
 
 @pytest.mark.parametrize("model", ["quartic", "cube"])
 def test_collapse_point_matches_the_case_analysis(model):
-    structure = structure_for(get_model(model))
+    surface = get_model(model)
+    roles, orientation = facet_maps(surface)
+    assignment = builtin_assignment(surface)
     for c in range(2, 9):
-        for p in components_at_codim(structure, c):
+        for p in components_at_codim(surface, c):
             for i in range(1, c + 1):
-                assert collapse_point(p, i, c, structure) == case_collapse_point(
-                    p, i, c, structure
+                assert collapse_point(p, i, c, roles, orientation) == case_collapse_point(
+                    p, i, c, assignment
                 ), (p, i, c)
 
 
 @pytest.mark.parametrize("model", ["quartic", "cube"])
 def test_collapse_maps_satisfy_the_simplicial_identities(model):
     # d_i d_j = d_{j-1} d_i for i < j, on every component at c = 3..9
-    structure = structure_for(get_model(model))
+    surface = get_model(model)
+    roles, orientation = facet_maps(surface)
 
     def d(i, p, c):
-        return collapse_point(p, i, c, structure)
+        return collapse_point(p, i, c, roles, orientation)
 
     for c in range(3, 10):
-        for p in components_at_codim(structure, c):
+        for p in components_at_codim(surface, c):
             for i, j in combinations(range(1, c + 1), 2):
                 assert d(i, d(j, p, c), c - 1) == d(j - 1, d(i, p, c), c - 1), (p, i, j, c)
 
@@ -278,23 +302,24 @@ def test_face_maps_contract_a_segment_of_the_subdivision(model):
     # (P_0 = 0 and P_{n+1} = 1), onto the endpoint that stays a node, so
     # P_min(i, n) is dropped and the image is read off by position
     surface = get_model(model)
-    structure = structure_for(surface)
+    assignment = builtin_assignment(surface)
+    roles, orientation = facet_maps(surface)
     for n in range(1, 5):
         P = tuple(Fraction(k * k, (n + 1) ** 2 + 1) for k in range(1, n + 1))
-        E = subdivide(surface, structure.assignment, n, P)
+        E = subdivide(surface, assignment, n, P)
         cells, comps = _chord_coordinates(E), _components(E)
         assert len(cells) == len(surface.triangles) * (n + 2) * (n + 3) // 2
-        assert sorted(set(comps.values())) == components_at_codim(structure, n + 1)
+        assert sorted(set(comps.values())) == components_at_codim(surface, n + 1)
         ends = (0,) + P + (1,)
         for i in range(1, n + 2):
             lo, hi = ends[i - 1], ends[i]
             drop, keep = (hi, lo) if i <= n else (lo, hi)
             move = {drop: keep}
-            E2 = subdivide(surface, structure.assignment, n - 1, [p for p in P if p != drop])
+            E2 = subdivide(surface, assignment, n - 1, [p for p in P if p != drop])
             cells2, comps2 = _chord_coordinates(E2), _components(E2)
             for (tri, (u, w)), cid in cells.items():
                 image = cells2[tri, (move.get(u, u), move.get(w, w))]
-                assert collapse_point(comps[cid], i, n + 1, structure) == comps2[image]
+                assert collapse_point(comps[cid], i, n + 1, roles, orientation) == comps2[image]
 
 
 def test_a_census_mismatch_lists_the_sorted_keys_on_each_side(monkeypatch):
@@ -355,17 +380,15 @@ def test_pi_does_not_depend_on_the_order_of_the_input_triangles(model):
 
 def test_codim5_is_deepest():
     m = quartic_model()
-    s = structure_for(m)
-    assert all_stable(s, 5) != []
-    assert all_stable(s, 6) == []
+    assert all_stable(m, 5) != []
+    assert all_stable(m, 6) == []
 
 
 @pytest.mark.parametrize("model", ["quartic", "cube"])
 def test_hilb0_is_one_point(model):
     # the empty type occupies every level only at codimension 1
     built = get_model(model)
-    s = structure_for(built)
-    assert [all_stable(s, c, 0) for c in (1, 2, 3)] == [[()], [], []]
+    assert [all_stable(built, c, 0) for c in (1, 2, 3)] == [[()], [], []]
     K, breakdowns = build_pi(built, 0)
     assert [tuple(c) for c in K.cells()] == [("c1:", 0, "", ())]
     assert breakdowns == []
@@ -399,17 +422,16 @@ def test_the_leaf_test_refuses_full_choices_at_every_codimension_from_two(
     "model, m", [("quartic", 1), ("quartic", 2), ("quartic", 3), ("cube", 1), ("cube", 2)]
 )
 def test_all_stable_equals_the_brute_force_filter(model, m):
-    s = structure_for(get_model(model))
+    surface = get_model(model)
     for c in range(1, 2 * m + 3):
-        assert stable_points(s, c, m) == brute_force_stable(s, c, m)
+        assert stable_points(surface, c, m) == brute_force_stable(surface, c, m)
 
 
 @pytest.mark.parametrize("model", ["quartic", "cube"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_stable_type_counts_match_the_closed_form(model, m):
     surface = get_model(model)
-    s = structure_for(surface)
-    counts = [len(all_stable(s, c, m)) for c in range(1, 2 * m + 3)]
+    counts = [len(all_stable(surface, c, m)) for c in range(1, 2 * m + 3)]
     assert counts == [stable_type_count(surface, c, m) for c in range(1, 2 * m + 3)]
     if (model, m) == ("cube", 3):
         assert counts[:-1] == [56, 1084, 7656, 23840, 36416, 26880, 7680]
@@ -448,13 +470,13 @@ def test_canonicalization_idempotent_and_exchange_invariant():
     p1 = ("E", ("Y1", "Y2"), 1)
     p2 = ("B", ("Y1", "Y2", "Y3"), 1, 2)
     for model in ("quartic", "cube"):
-        s = structure_for(get_model(model))
+        surface = get_model(model)
         for c in range(1, 7):
-            types = stable_points(s, c, 2)
+            types = stable_points(surface, c, 2)
             assert all(list(points) == sorted(points) for points in types)
             assert len(set(types)) == len(types)
-            assert all(list(t) == sorted(t) for t in all_stable(s, c))
-    types = stable_points(structure_for(quartic_model()), 3, 2)
+            assert all(list(t) == sorted(t) for t in all_stable(surface, c))
+    types = stable_points(quartic_model(), 3, 2)
     assert (p2, p1) in types and (p1, p2) not in types
     assert type_key(3, (p2, p1)) == "c3:B[Y1|Y2|Y3]@1,2 + E[Y1|Y2]@1"
 

@@ -28,7 +28,7 @@ from degex.complexes import (
     validate,
 )
 from degex.expansion import check_gluing, get_assignment, subdivide
-from degex.hilb import build_pi, structure_for
+from degex.hilb import build_pi
 from degex.linalg import rank_over_rationals, smith_normal_form
 from degex.models import cube_model, find_3_labeling, quartic_model
 
@@ -173,7 +173,7 @@ def test_canonicalization_idempotent_and_exchange_invariant(i, j, c):
     # every type exactly once and already sorted, so the pair (p, q) shows up
     # once, in sorted order, exactly when it occupies every level
     p, q = POINT_POOL[i], POINT_POOL[j]
-    types = stable_points(structure_for(quartic_model()), c, 2)
+    types = stable_points(quartic_model(), c, 2)
     assert all(list(points) == sorted(points) for points in types)
     assert len(set(types)) == len(types)
     pair = tuple(sorted((p, q)))
