@@ -30,8 +30,8 @@ pairs are never normalized; comparisons go through cross products.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 Ratio = tuple[int, int]  # (numerator, denominator), denominator nonzero
 Pair = tuple[Ratio, Ratio]
@@ -42,8 +42,7 @@ ONE: Ratio = (1, 1)
 ZERO: Ratio = (0, 1)
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(NamedTuple):
     x: Ratio
     y: Ratio
     z: Ratio
@@ -56,13 +55,15 @@ class ChartPoint:
         return len(self.t) - 1
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    taus: tuple[Ratio, ...]
+class TorusElement(NamedTuple("TorusElement", [("taus", tuple[Ratio, ...])])):
+    # a NamedTuple body cannot define __new__, so the check at construction
+    # sits in this subclass
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(num == 0 for num, _ in self.taus):
+    def __new__(cls, taus: tuple[Ratio, ...]):
+        if any(num == 0 for num, _ in taus):
             raise ValueError("torus entries must be nonzero")
+        return super().__new__(cls, taus)
 
     def compose(self, other: "TorusElement") -> "TorusElement":
         if len(self.taus) != len(other.taus):

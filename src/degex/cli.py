@@ -146,8 +146,8 @@ def cmd_expand(args) -> tuple[dict, str]:
 
 
 def cmd_certify(args) -> tuple[dict, str]:
-    # imported here, not at the top: it would add about 7-9 ms (-X importtime)
-    # to the 50-65 ms import of this module, which every command and the
+    # imported here, not at the top: it would add about 1.1 ms (-X importtime)
+    # to the 10 ms import of this module, which every command and the
     # benchmark's set-up time pay, and only this command needs it
     from .projectivity import (
         builtin_certificates,

@@ -4,10 +4,11 @@ Cells are not determined by their vertex sets; identifications are expressed
 purely through shared face ids.  Face signs follow the standard alternating
 convention on ordered face slots, which makes the composed-boundary check a
 mechanical one: for every cell the signed sum of faces-of-faces must vanish.
-A ``Cell`` is a plain record; ``DeltaComplex`` checks each cell's face signs
-once, when the complex is built, so ``from_json`` input is checked too.  The
-canonical cell order is sorted on its first read, so a complex that is only
-counted (``f_vector``, ``len``, ``in``) is never sorted.
+A ``Cell`` is a plain record, a ``NamedTuple`` like every record of the
+library; ``DeltaComplex`` checks each cell's face signs once, when the
+complex is built, so ``from_json`` input is checked too.  The canonical cell
+order is sorted on its first read, so a complex that is only counted
+(``f_vector``, ``len``, ``in``) is never sorted.
 
 Homology comes from coreduction to the Morse complex, then exact rank and
 Smith normal form of its boundary: pairs of cells joined by a +-1
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,8 +44,7 @@ def euler_of_counts(counts) -> int:
     return sum((-1) ** d * c for d, c in enumerate(counts))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     cell_id: str
     detail: str

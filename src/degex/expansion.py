@@ -47,8 +47,8 @@ spokes to the centers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector
 from .models import SurfaceModel, edge_key, find_3_labeling
@@ -194,23 +194,20 @@ def assignment_from_json_obj(model: SurfaceModel, obj) -> BlowupAssignment:
     return assignment
 
 
-@dataclass(frozen=True)
-class EdgeNode:
+class EdgeNode(NamedTuple):
     edge: Pair
     position: Fraction  # measured from the canonical (sorted-first) endpoint
     cell_id: str
     levels: dict  # triangle key -> level index claimed by that side
 
 
-@dataclass(frozen=True)
-class CornerBox:
+class CornerBox(NamedTuple):
     triangle: tuple[str, str, str]
     levels: tuple[int, int]  # (j, k) with j < k
     cell_id: str
 
 
-@dataclass
-class GluingReport:
+class GluingReport(NamedTuple):
     glues: bool
     failures: list
 
@@ -218,8 +215,7 @@ class GluingReport:
         return {"glues": self.glues, "failures": self.failures}
 
 
-@dataclass
-class TorusReport:
+class TorusReport(NamedTuple):
     compatible: bool
     conflicts: list
 
@@ -227,8 +223,7 @@ class TorusReport:
         return {"compatible": self.compatible, "conflicts": self.conflicts}
 
 
-@dataclass
-class ExpandedComplex:
+class ExpandedComplex(NamedTuple):
     model: SurfaceModel
     assignment: BlowupAssignment
     level: int
@@ -283,8 +278,15 @@ def subdivide(
         regions = {t: 1 for t in model.triangles}
         return ExpandedComplex(model, assignment, 0, P, model.sphere, [], [], regions, {}, {})
 
-    cells: dict[str, Cell] = {_vid(v): Cell(_vid(v), 0, v) for v in model.vertices}
+    # a list, so that DeltaComplex refuses an id made twice; the labels of
+    # the vertices are kept apart, for the labels of the edges
+    cells: list[Cell] = []
+    labels: dict[str, str] = {}
     edges: dict[tuple[str, str], str] = {}
+
+    def vertex(vid: str, label: str) -> None:
+        cells.append(Cell(vid, 0, label))
+        labels[vid] = label
 
     def pair_cell(a: str, b: str) -> str:
         """The 1-cell joining vertices a and b, keyed canonically and made
@@ -293,9 +295,11 @@ def subdivide(
         eid = edges.get((lo, hi))
         if eid is None:
             eid = edges[lo, hi] = f"E[{lo}][{hi}]"
-            label = f"{cells[lo].label} / {cells[hi].label}"
-            cells[eid] = Cell(eid, 1, label, ((hi, 1), (lo, -1)))
+            cells.append(Cell(eid, 1, f"{labels[lo]} / {labels[hi]}", ((hi, 1), (lo, -1))))
         return eid
+
+    for v in model.vertices:
+        vertex(_vid(v), v)
 
     # ---- one level list per edge side --------------------------------------
     # level k of a side sits at P_k from its distinguished endpoint (levels 0
@@ -320,7 +324,7 @@ def subdivide(
         pts = [(Fraction(0), _vid(e[0]))]
         for pos, levels in sorted(nodes.items()):
             nid = f"x:{e[0]}|{e[1]}@{pos}"
-            cells[nid] = Cell(nid, 0, f"{e[0]}-{e[1]} node at {pos}")
+            vertex(nid, f"{e[0]}-{e[1]} node at {pos}")
             edge_nodes.append(EdgeNode(e, pos, nid, levels))
             pts.append((pos, nid))
         pts.append((Fraction(1), _vid(e[1])))
@@ -369,7 +373,7 @@ def subdivide(
                 if i < j < n:
                     # the walk meets the box (i+1, j+1) first as this region's corner
                     bid = point(i + 1, j + 1)
-                    cells[bid] = Cell(bid, 0, f"box({i + 1},{j + 1}) in {name}")
+                    vertex(bid, f"box({i + 1},{j + 1}) in {name}")
                     boxes.append(CornerBox(tri, (i + 1, j + 1), bid))
                 cycle = [point(i, j + 1)]
                 if j == n:
@@ -385,7 +389,7 @@ def subdivide(
                 regions[tri] = regions.get(tri, 0) + 1
                 # star triangulation from the region's center
                 cid = f"c:{tkey}#{i},{j}"
-                cells[cid] = Cell(cid, 0, f"center {(i, j)} in {name}")
+                vertex(cid, f"center {(i, j)} in {name}")
                 label = f"piece of {(i, j)} in {name}"
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                     # the three ids in sorted order, by comparison
@@ -399,14 +403,14 @@ def subdivide(
                         s0, s1, s2 = a, b, cid
                     tid = f"T[{s0}][{s1}][{s2}]"
                     faces = (pair_cell(s1, s2), 1), (pair_cell(s0, s2), -1), (pair_cell(s0, s1), 1)
-                    cells[tid] = Cell(tid, 2, label, faces)
+                    cells.append(Cell(tid, 2, label, faces))
 
     return ExpandedComplex(
         model,
         assignment,
         n,
         P,
-        DeltaComplex(cells.values()),
+        DeltaComplex(cells),
         edge_nodes,
         boxes,
         regions,

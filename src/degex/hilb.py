@@ -45,8 +45,8 @@ stable but not listed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, zip_longest
+from typing import NamedTuple
 
 from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector, validate
 from .expansion import BlowupAssignment, edge_orientation, edge_roles, get_assignment, grid_side
@@ -215,8 +215,7 @@ def _vertex_edge_relation(model: SurfaceModel, v, e) -> str:
     return "far"
 
 
-@dataclass(frozen=True)
-class CaseBreakdown:
+class CaseBreakdown(NamedTuple):
     """The case families of one dimension in proof-case order, each with the
     stable types it lists."""
 

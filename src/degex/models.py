@@ -8,8 +8,8 @@ the two members of one coordinate pair) rather than hard-coded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import (
     DeltaComplex,
@@ -27,8 +27,7 @@ def edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class SingularityData:
+class SingularityData(NamedTuple):
     resolved_singularities: int
     per_double_curve: tuple[tuple[tuple[str, str], int], ...]
 
@@ -40,8 +39,7 @@ class SingularityData:
             )
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(NamedTuple):
     name: str
     sphere: DeltaComplex
     vertices: tuple[str, ...]

@@ -18,16 +18,15 @@ convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import parse_fraction
 
 Coord = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class AffinePiece(NamedTuple):
     a_c: Fraction
     a_q: Fraction
     a_tau: Fraction
@@ -45,8 +44,7 @@ class AffinePiece:
         return cls(Fraction(a_c), Fraction(a_q), Fraction(a_tau), Fraction(b))
 
 
-@dataclass(frozen=True)
-class ExpectedRegion:
+class ExpectedRegion(NamedTuple):
     name: str
     polygon: tuple[Coord, ...]
 
@@ -58,8 +56,7 @@ class ExpectedRegion:
         )
 
 
-@dataclass(frozen=True)
-class FaceCertificate:
+class FaceCertificate(NamedTuple):
     name: str
     corners: dict  # vertex name -> (c, q)
     roles: tuple[str, str, str]  # (first, second, third) corners
@@ -194,8 +191,7 @@ def builtin_certificates() -> list[FaceCertificate]:
     ]
 
 
-@dataclass
-class ConvexityResult:
+class ConvexityResult(NamedTuple):
     face: str
     tau: Fraction
     ok: bool
@@ -306,8 +302,7 @@ def _min_of_affine(forms, s: Fraction) -> Fraction:
     return min(slope * s + intercept for slope, intercept in forms)
 
 
-@dataclass
-class EdgeAgreement:
+class EdgeAgreement(NamedTuple):
     edge: tuple[str, str]
     faces: tuple[str, str]
     equal: bool

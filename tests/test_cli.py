@@ -11,7 +11,7 @@ import pytest
 from degex import charts, complexes, dumps, hilb
 from degex.charts import ChartPoint
 from degex.cli import run
-from degex.expansion import get_assignment
+from degex.expansion import GluingReport, get_assignment
 from degex.models import quartic_model
 from degex.projectivity import builtin_certificates
 
@@ -520,6 +520,8 @@ def test_the_largest_report_and_export_are_byte_identical(tmp_path, monkeypatch,
         ({"tau": Fraction(1, 3)}, "Fraction"),
         (["ok", {1, 2}], "set"),
         ([{"ok": True}, {1: "int key"}], "int"),
+        # a record is a tuple subclass, which json.dumps would write as a list
+        ({"gluing": GluingReport(True, [])}, "GluingReport"),
     ],
 )
 def test_the_report_writer_refuses_what_a_report_never_holds(value, kind):

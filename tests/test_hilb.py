@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -341,7 +340,7 @@ def test_a_census_mismatch_lists_the_sorted_keys_on_each_side(monkeypatch):
         ]
         # the double point a second time, and no disjoint pair
         families["bundles over disjoint edges"] = [double_point]
-        return replace(breakdown, families=families)
+        return breakdown._replace(families=families)
 
     monkeypatch.setattr(hilb, "enumerate_cases", miscounted)
     # types generated in key order would hide an unsorted diff

@@ -1,7 +1,10 @@
 """The library holds no test-only helpers: every module-level function and
 class of ``src/degex`` is used by the library itself, traced by the
-benchmark, or documented in the README."""
+benchmark, or documented in the README.  Its import stays cheap: no module
+of the library pulls in ``dataclasses`` or ``inspect``."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +61,16 @@ def test_every_library_name_without_a_library_caller_is_traced_or_documented():
     assert unreferenced == ["complexes.boundary_matrix", "complexes.from_json"]
     assert "complexes.boundary_matrix" in traced
     assert "degex.complexes.from_json" in readme
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # -S: no site module, whose .pth files may import either one first
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import degex.cli, degex.projectivity; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,6 @@
 """Property suites over the module invariants, with fixed seeds."""
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -283,7 +282,7 @@ def perturbed_chart_points(draw):
     value = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9).filter(bool)))
     old = _entry(getattr(p, field), index)
     assume(value[0] * old[1] != old[0] * value[1])
-    bad = replace(p, **{field: _replaced(getattr(p, field), index, value)})
+    bad = p._replace(**{field: _replaced(getattr(p, field), index, value)})
     return p, bad
 
 
