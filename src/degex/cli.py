@@ -49,8 +49,8 @@ EXIT_FLAGGED = 3
 _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "flagged": EXIT_FLAGGED}
 
 # per doubling of n, `expand` makes 4x the cells in 3-4x the time and 3x the
-# memory (`expand cube --n 64 --assignment labeling`: 1.6-2.0 s and 141 MB
-# peak RSS, best of 3 on one CPU of a 2-core x86 host), and `charts verify`
+# memory (`expand cube --n 64 --assignment labeling`: 0.93-1.04 s over 5 runs
+# and 121 MB peak RSS, on one CPU of a 2-core x86 host), and `charts verify`
 # with its default 1000 samples takes 0.6 s at n = 64 on one CPU of that
 # host, so deeper ones are refused up front
 MAX_DEPTH = 64

@@ -16,34 +16,44 @@ positions and the same symbol sequence there, i.e. the same distinguished
 endpoint.
 
 Realization is combinatorial.  Each side of an edge, that is the edge as
-one adjacent triangle sees it, has one level list: level k sits at P_k from
-the side's distinguished endpoint, levels 0 and n+1 being the endpoints
-(`edge_sides`).  `edge_orientation` is the one owner of gluing agreement.
-The node census, each node's levels and the segment symbols derive from the
-level lists: segment t_l runs from level l-1 to level l.  A node that only
-the neighbouring triangle places on a shared edge is a foreign point and
-sits between two consecutive levels.  Foreign points occur only where the
-two sides of an edge disagree on its distinguished endpoint, that is for
-assignments that do not glue, and not even there when the positions are
-symmetric under P -> 1 - P.  Grid point (a, b), 0 <= a <= b <= n+1, is
-where the level-a chord parallel to S-T meets the level-b chord parallel to
-F-T (levels 0 and n+1 being the sides themselves).  `grid_side` is the one
-classifier of grid points, used by `subdivide` and by the Hilbert-square
-face maps: the point lies on the F-S edge when a = b, on the S-T edge when
-a = 0, on the F-T edge when b = n+1, and is otherwise the corner box (a, b).
+one adjacent triangle sees it, reads the edge in one direction: forward
+from its first endpoint u when that is the side's distinguished endpoint
+(`edge_sides`), backward otherwise.  Level k sits at P_k from where the
+side reads the edge, levels 0 and n+1 being the endpoints.
+`edge_orientation` is the one owner of gluing agreement.  `subdivide` works
+out, once per call, a layout for each set of directions an edge's sides can
+take (forward, backward, or both): the edge's interior positions in order
+from u and their strings, each direction's level indices into the edge's
+points, and each direction's segment symbols (segment t_l runs from level
+l-1 to level l) with the segment lengths.  Each edge reads its layout, so
+the node census, each node's levels and the segment symbols are integer
+lookups.  A node that only the neighbouring triangle places on a shared
+edge is a foreign point and sits between two consecutive levels.  Foreign
+points occur only where the two sides of an edge disagree on its
+distinguished endpoint, that is for assignments that do not glue, and not
+even there when the positions are symmetric under P -> 1 - P.  Grid point
+(a, b), 0 <= a <= b <= n+1, is where the level-a chord parallel to S-T
+meets the level-b chord parallel to F-T (levels 0 and n+1 being the sides
+themselves).  `grid_side` is the one classifier of grid points, used by
+`subdivide` and by the Hilbert-square face maps: the point lies on the F-S
+edge when a = b, on the S-T edge when a = 0, on the F-T edge when b = n+1,
+and is otherwise the corner box (a, b).
 
 Grid region (i, j), 0 <= i <= j <= n, is a triangle along F-S when i = j
 and a quadrilateral otherwise.  `subdivide` walks the regions in order,
-each as the cycle (i, j+1) -> (i+1, j+1) -> [(i+1, j) when i < j] -> (i, j),
-and makes every cell once, where the walk first meets it.  By `grid_side`
-three sides of these cycles lie on base edges: (i, n+1) -> (i+1, n+1) on
-F-T when j = n, (i+1, i+1) -> (i, i) on F-S when i = j, and (0, j) ->
-(0, j+1) on S-T when i = 0; the foreign points are inserted along those.
-Each cycle is star triangulated from an auxiliary center vertex, which
-preserves the closed-surface invariants, and is then dropped: only the
-count of regions per triangle is kept.  The 1-cells are the sides of the
-region cycles (chord pieces and atomic segments of the base edges) and the
-spokes to the centers.
+each as the cycle (i, j+1) -> (i+1, j+1) -> [(i+1, j) when i < j] ->
+(i, j), and makes every cell once: each triangle first tabulates the vertex id
+of every grid point, making its corner boxes there, and the walk makes
+every other cell where it first meets it.  By `grid_side` three sides of
+these cycles lie on base edges: (i, n+1) -> (i+1, n+1) on F-T when j = n,
+(i+1, i+1) -> (i, i) on F-S when i = j, and (0, j) -> (0, j+1) on S-T when
+i = 0; the foreign points are inserted along those.  Each cycle is star
+triangulated from an auxiliary center vertex, which preserves the
+closed-surface invariants, and is then dropped: only the count of regions
+per triangle is kept.  The 1-cells are the sides of the region cycles
+(chord pieces and atomic segments of the base edges) and the spokes to the
+centers.  A region makes its spokes once, since no other region meets them,
+and each of its triangles from two spokes and one lookup of its cycle side.
 """
 from __future__ import annotations
 
@@ -258,6 +268,31 @@ def _check_positions(n: int, positions) -> tuple[Fraction, ...]:
     return positions
 
 
+def _edge_layout(P: tuple[Fraction, ...], directions) -> tuple:
+    """The points of an edge whose sides read it in `directions` (True for
+    forward, from the edge's first endpoint u; False for backward), as
+    (interior positions from u, their strings, {direction: index among the
+    edge's points of each level 0..n+1}, {direction: (symbol, color,
+    length) of each atomic segment}).  Level k of a direction sits at P_k
+    from where it reads the edge, and segment t_l runs from level l-1 to
+    level l, across any foreign points between them."""
+    ladder = (Fraction(0), *P, Fraction(1))
+    ladders = {True: ladder, False: tuple(1 - pos for pos in ladder)}
+    interior = sorted({ladders[d][k] for d in directions for k in range(1, len(P) + 1)})
+    points = [Fraction(0), *interior, Fraction(1)]
+    index = {pos: i for i, pos in enumerate(points)}
+    lengths = [str(b - a) for a, b in zip(points, points[1:])]
+    at, segments = {}, {}
+    for d in directions:
+        at[d] = [index[pos] for pos in ladders[d]]
+        symbols = [0] * len(lengths)
+        for l in range(1, len(ladder)):
+            lo, hi = sorted(at[d][l - 1 : l + 1])
+            symbols[lo:hi] = [l] * (hi - lo)
+        segments[d] = [(k, color_name(k), length) for k, length in zip(symbols, lengths)]
+    return interior, [str(pos) for pos in interior], at, segments
+
+
 def subdivide(
     model: SurfaceModel,
     assignment: BlowupAssignment,
@@ -301,64 +336,71 @@ def subdivide(
     for v in model.vertices:
         vertex(_vid(v), v)
 
-    # ---- one level list per edge side --------------------------------------
-    # level k of a side sits at P_k from its distinguished endpoint (levels 0
-    # and n+1 are the endpoints), at its position from the edge's first
-    # endpoint u; every other list is derived from these
+    # ---- one layout per set of side directions -----------------------------
+    # a side reads its edge forward when its distinguished endpoint is the
+    # edge's first endpoint u, backward otherwise; an edge reads the layout of
+    # the directions its sides take, and each side its direction's levels
     distinguished = edge_sides(model, assignment)
-    ladder = (Fraction(0), *P, Fraction(1))
-    reversed_ladder = tuple(1 - pos for pos in ladder)
+    layouts: dict = {}
     edge_nodes = []
     colored_segments: dict = {}
-    lines: dict = {}  # (edge, triangle) -> (edge point ids, index there of each level)
+    lines: dict = {}  # edge -> (its point ids from u, {direction: index of each level})
     for e in sorted(distinguished):
-        sides = {
-            tri: ladder if dist == e[0] else reversed_ladder
-            for tri, dist in distinguished[e].items()
-        }
-        nodes: dict[Fraction, dict] = {}
+        u, v = e
+        sides = {tri: dist == u for tri, dist in distinguished[e].items()}
+        pattern = frozenset(sides.values())
+        if pattern not in layouts:
+            layouts[pattern] = _edge_layout(P, pattern)
+        positions, names, at, segments = layouts[pattern]
+        ids = [_vid(u)]
+        for name in names:
+            nid = f"x:{u}|{v}@{name}"
+            vertex(nid, f"{u}-{v} node at {name}")
+            ids.append(nid)
+        ids.append(_vid(v))
+        lines[e] = ids, at
+        levels = [{} for _ in names]
         for tri in sorted(sides):
+            at_side = at[sides[tri]]
             for k in range(1, n + 1):
-                nodes.setdefault(sides[tri][k], {})[tri] = k
-        # every point of the edge, sorted by position from u
-        pts = [(Fraction(0), _vid(e[0]))]
-        for pos, levels in sorted(nodes.items()):
-            nid = f"x:{e[0]}|{e[1]}@{pos}"
-            vertex(nid, f"{e[0]}-{e[1]} node at {pos}")
-            edge_nodes.append(EdgeNode(e, pos, nid, levels))
-            pts.append((pos, nid))
-        pts.append((Fraction(1), _vid(e[1])))
-        ids = [vid for _, vid in pts]
-        index = {pos: i for i, (pos, _) in enumerate(pts)}
-        segments = [(pair_cell(a, b), str(pb - pa)) for (pa, a), (pb, b) in zip(pts, pts[1:])]
-        for tri, levels in sides.items():
-            at = [index[pos] for pos in levels]
-            lines[e, tri] = ids, at
-            # segment t_l runs from level l-1 to level l, across any foreign
-            # nodes between them
-            symbols = [0] * len(segments)
-            for l in range(1, n + 2):
-                lo, hi = sorted(at[l - 1 : l + 1])
-                symbols[lo:hi] = [l] * (hi - lo)
-            colored_segments.setdefault(e, {})[tri] = tuple(
-                {"segment": sid, "symbol": k, "color": color_name(k), "length": length}
-                for k, (sid, length) in zip(symbols, segments)
+                levels[at_side[k] - 1][tri] = k
+        edge_nodes += [
+            EdgeNode(e, pos, nid, lev) for pos, nid, lev in zip(positions, ids[1:-1], levels)
+        ]
+        seg_ids = [pair_cell(a, b) for a, b in zip(ids, ids[1:])]
+        records = {
+            forward: tuple(
+                {"segment": sid, "symbol": k, "color": color, "length": length}
+                for sid, (k, color, length) in zip(seg_ids, segments[forward])
             )
+            for forward in pattern
+        }
+        colored_segments[e] = {tri: records[forward] for tri, forward in sides.items()}
 
     # ---- one walk of each triangle's level grid ----------------------------
     boxes = []
     regions: dict = {}
     for tri in model.triangles:
         tkey, name = "|".join(tri), "-".join(tri)
-        role_lines = {r: lines[e, tri] for r, (e, _) in edge_roles(assignment, tri).items()}
-
-        def point(a: int, b: int) -> str:
-            """Vertex id of grid point (a, b)."""
-            side = grid_side(a, b, n)
-            if side is None:
-                return f"b:{tkey}#{a},{b}"
-            ids, at = role_lines[side[0]]
-            return ids[at[side[1]]]
+        role_lines = {}
+        for r, (e, dist) in edge_roles(assignment, tri).items():
+            ids, at = lines[e]
+            role_lines[r] = ids, at[dist == e[0]]
+        # the vertex id of every grid point (a, b), a <= b, made once
+        grid = []
+        for a in range(n + 2):
+            row = [None] * a
+            grid.append(row)
+            for b in range(a, n + 2):
+                side = grid_side(a, b, n)
+                if side is None:
+                    bid = f"b:{tkey}#{a},{b}"
+                    vertex(bid, f"box({a},{b}) in {name}")
+                    boxes.append(CornerBox(tri, (a, b), bid))
+                    row.append(bid)
+                else:
+                    ids, at = role_lines[side[0]]
+                    row.append(ids[at[side[1]]])
 
         def between(r: str, l0: int, l1: int) -> list[str]:
             """Vertex ids strictly between levels l0 and l1 of base edge r, in
@@ -370,40 +412,47 @@ def subdivide(
 
         for i in range(n + 1):
             for j in range(i, n + 1):
-                if i < j < n:
-                    # the walk meets the box (i+1, j+1) first as this region's corner
-                    bid = point(i + 1, j + 1)
-                    vertex(bid, f"box({i + 1},{j + 1}) in {name}")
-                    boxes.append(CornerBox(tri, (i + 1, j + 1), bid))
-                cycle = [point(i, j + 1)]
+                cycle = [grid[i][j + 1]]
                 if j == n:
                     cycle += between("FT", i, i + 1)
-                cycle.append(point(i + 1, j + 1))
+                cycle.append(grid[i + 1][j + 1])
                 if i < j:
-                    cycle.append(point(i + 1, j))
+                    cycle.append(grid[i + 1][j])
                 else:
                     cycle += between("FS", i + 1, i)
-                cycle.append(point(i, j))
+                cycle.append(grid[i][j])
                 if i == 0:
                     cycle += between("ST", j, j + 1)
-                regions[tri] = regions.get(tri, 0) + 1
-                # star triangulation from the region's center
+                # star triangulation from the region's center: its spokes
+                # are made here, since no other region meets them
                 cid = f"c:{tkey}#{i},{j}"
-                vertex(cid, f"center {(i, j)} in {name}")
-                label = f"piece of {(i, j)} in {name}"
-                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    # the three ids in sorted order, by comparison
-                    if b < a:
-                        a, b = b, a
-                    if cid < a:
-                        s0, s1, s2 = cid, a, b
-                    elif cid < b:
-                        s0, s1, s2 = a, cid, b
+                center = f"center {(i, j)} in {name}"
+                vertex(cid, center)
+                spokes = []
+                for a in cycle:
+                    if a < cid:
+                        sid = f"E[{a}][{cid}]"
+                        cells.append(Cell(sid, 1, f"{labels[a]} / {center}", ((cid, 1), (a, -1))))
                     else:
-                        s0, s1, s2 = a, b, cid
-                    tid = f"T[{s0}][{s1}][{s2}]"
-                    faces = (pair_cell(s1, s2), 1), (pair_cell(s0, s2), -1), (pair_cell(s0, s1), 1)
+                        sid = f"E[{cid}][{a}]"
+                        cells.append(Cell(sid, 1, f"{center} / {labels[a]}", ((a, 1), (cid, -1))))
+                    spokes.append(sid)
+                # each triangle is a cycle side a-b with the spokes to a and b,
+                # its ids in sorted order, by comparison
+                label = f"piece of {(i, j)} in {name}"
+                ends = list(zip(cycle, spokes))
+                for (a, sa), (b, sb) in zip(ends, ends[1:] + ends[:1]):
+                    rim = pair_cell(a, b)
+                    if b < a:
+                        a, b, sa, sb = b, a, sb, sa
+                    if cid < a:
+                        tid, faces = f"T[{cid}][{a}][{b}]", ((rim, 1), (sb, -1), (sa, 1))
+                    elif cid < b:
+                        tid, faces = f"T[{a}][{cid}][{b}]", ((sb, 1), (rim, -1), (sa, 1))
+                    else:
+                        tid, faces = f"T[{a}][{b}][{cid}]", ((sb, 1), (sa, -1), (rim, 1))
                     cells.append(Cell(tid, 2, label, faces))
+        regions[tri] = (n + 1) * (n + 2) // 2
 
     return ExpandedComplex(
         model,

@@ -521,6 +521,47 @@ def bad_quartic_assignment() -> BlowupAssignment:
     )
 
 
+def node_census(model, assignment, positions) -> dict:
+    """The nodes and atomic segments of every edge, from a census keyed by
+    position, independent of `expansion.subdivide`'s edge layouts.
+
+    Each side of an edge reads it from its distinguished endpoint (S on F-S
+    and S-T, T on F-T, by `assignment.roles`) and places level k at P_k from
+    there.  Returns {edge: (nodes, segments)}: `nodes` lists (position from
+    the first endpoint, node id, {triangle: level}) by position, and
+    `segments` maps each side's triangle to the (symbol, length) of every
+    atomic segment from the first endpoint, where a segment's symbol is the
+    number of the side's levels 0..n+1 at or before its near end."""
+    ladder = (Fraction(0), *positions, Fraction(1))
+    from_first = {}  # edge -> {triangle: position from the first endpoint of each level}
+    for tri in model.triangles:
+        F, S, T = assignment.roles(tri)
+        for a, b, dist in ((F, S, S), (S, T, S), (F, T, T)):
+            e = tuple(sorted((a, b)))
+            levels = [p if dist == e[0] else 1 - p for p in ladder]
+            from_first.setdefault(e, {})[tri] = levels
+    census = {}
+    for e, sides in sorted(from_first.items()):
+        nodes: dict[Fraction, dict] = {}
+        for tri in sorted(sides):
+            for k, pos in enumerate(sides[tri][1:-1], 1):
+                nodes.setdefault(pos, {})[tri] = k
+        points = [Fraction(0), *sorted(nodes), Fraction(1)]
+        segments = {}
+        for tri, levels in sides.items():
+            forward = levels[0] == 0
+            segments[tri] = []
+            for lo, hi in zip(points, points[1:]):
+                near = lo if forward else 1 - hi
+                symbol = sum(1 for p in ladder if p <= near)
+                segments[tri].append((symbol, hi - lo))
+        census[e] = (
+            [(pos, f"x:{e[0]}|{e[1]}@{pos}", nodes[pos]) for pos in sorted(nodes)],
+            segments,
+        )
+    return census
+
+
 def assignment_to_json_obj(assignment: BlowupAssignment) -> list[dict]:
     """The assignment-file ``triangles`` list of an assignment."""
     return [

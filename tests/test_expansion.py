@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from degex import dumps
 from degex.complexes import betti_numbers, euler_characteristic, h1_torsion, to_json, validate
 from degex.expansion import (
     BlowupAssignment,
@@ -12,12 +13,13 @@ from degex.expansion import (
     check_gluing,
     check_torus_compatibility,
     edge_roles,
+    expanded_complex_report,
     get_assignment,
     subdivide,
 )
 from degex.models import cube_model, quartic_model
 
-from oracles import bad_quartic_assignment
+from oracles import bad_quartic_assignment, node_census
 
 
 def closed_surface(K):
@@ -61,6 +63,25 @@ def assert_levels_follow_their_definition(E):
                 ends = [fid for fid, _ in E.cells[seg["segment"]].faces]
                 near = min(from_dist(vid) for vid in ends)
                 assert seg["symbol"] == sum(1 for p in P if p <= near)
+
+
+def assert_matches_the_node_census(E):
+    """The nodes, levels and atomic segments of every edge side agree with
+    the position-keyed census of `oracles.node_census`."""
+    census = node_census(E.model, E.assignment, E.positions)
+    assert [(node.edge, node.position, node.cell_id, node.levels) for node in E.edge_nodes] == [
+        (e, *node) for e, (nodes, _) in census.items() for node in nodes
+    ]
+    for e, (nodes, segments) in census.items():
+        points = [f"v:{e[0]}", *(nid for _, nid, _ in nodes), f"v:{e[1]}"]
+        assert list(E.colored_segments[e]) == list(segments)
+        for tri, expected in segments.items():
+            segs = E.colored_segments[e][tri]
+            assert [(s["symbol"], s["length"]) for s in segs] == [
+                (k, str(length)) for k, length in expected
+            ]
+            for seg, a, b in zip(segs, points, points[1:]):
+                assert {fid for fid, _ in E.cells[seg["segment"]].faces} == {a, b}
 
 
 def test_default_assignment_pairs():
@@ -275,6 +296,11 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
         assert validate(E.cells) == []
         assert closed_surface(E.cells)
         assert euler_characteristic(E.cells) == 2
+        # 1/5 and 1/3 are not mirrors of each other, so the two sides of a
+        # failing edge share no node there: only the nodes one side places
+        # tell the torus check that the assignment does not glue
+        E = subdivide(m, assignment, 2, positions=[Fraction(1, 5), Fraction(1, 3)])
+        assert check_torus_compatibility(E).compatible == check_gluing(E).glues
     assert with_foreign_nodes == 1272
     # gluing means a vertex order: every edge read from its later vertex
     orders = {
@@ -283,6 +309,36 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
     }
     assert len(orders) == 24
     assert gluing == orders
+
+
+@pytest.mark.parametrize("positions", [(Fraction(1, 2),), (Fraction(1, 3),)])
+def test_every_quartic_assignment_matches_the_node_census_at_depth_1(positions):
+    m = quartic_model()
+    for pairs in product(*(permutations(t, 2) for t in m.triangles)):
+        assignment = BlowupAssignment(dict(zip(m.triangles, pairs)))
+        assert_matches_the_node_census(subdivide(m, assignment, 1, positions))
+
+
+def test_sampled_cube_assignments_match_the_node_census():
+    # vertex orders glue; random pairs almost never do; positions not closed
+    # under P -> 1 - P give the sides of a failing edge distinct nodes
+    m = cube_model()
+    rng = random.Random(27)
+    glued = 0
+    for n in range(1, 5):
+        for trial in range(12):
+            while True:
+                positions = sorted(Fraction(p, 97) for p in rng.sample(range(1, 97), n))
+                if {1 - p for p in positions} != set(positions):
+                    break
+            if trial % 2:
+                assignment = BlowupAssignment({t: tuple(rng.sample(t, 2)) for t in m.triangles})
+            else:
+                assignment = assignment_from_order(m, rng.sample(m.vertices, len(m.vertices)))
+            E = subdivide(m, assignment, n, positions)
+            glued += check_gluing(E).glues
+            assert_matches_the_node_census(E)
+    assert glued == 24
 
 
 def test_foreign_nodes_keep_their_order_along_a_region_side():
@@ -307,7 +363,7 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
 
 
 @pytest.mark.parametrize(
-    "model, assignment, n, positions, cells, digest",
+    "model, assignment, n, positions, cells, digest, report",
     [
         (
             cube_model(),
@@ -316,6 +372,7 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
             None,
             4106,
             "d0eb8cbb7ea0a47a2923a11b574d4777368b285f0c9d0f9237e2a7cef85e7109",
+            "5195ba7a667d2f485b2a35aa97243590c07d3c09e90e965c0f79f9a5f422b6a7",
         ),
         # places foreign nodes, so region cycles run across them
         (
@@ -325,15 +382,47 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
             (Fraction(1, 5), Fraction(1, 2)),
             266,
             "2f802ec93a559d6520330a961cd01374301e1d3ec73feb351ed3cfa4afb91d39",
+            "ecb48129d04854c532c0359938ee5c7f1ba0598041d11f998f7c0986679c15f7",
+        ),
+        # the two sides of a failing edge share no node
+        (
+            quartic_model(),
+            bad_quartic_assignment(),
+            2,
+            (Fraction(1, 5), Fraction(1, 3)),
+            278,
+            "7a07371462968f9cb11d0523f2240f4945a21e5ff7899489fdae33bb6e7a8d3a",
+            "061dd6b5848103f10a0309dda1f99720586313d2b46789dc7a02f64d4494ac09",
+        ),
+        (
+            cube_model(),
+            get_assignment(cube_model(), "labeling"),
+            1,
+            (Fraction(2, 7),),
+            242,
+            "a85521057c1997130ffc4c505d8c18f817e6d5ae6548d0c520647eab82a82d6c",
+            "2d7b0bbcfa4c913810a099e9fff2ef0f2d4bb0cc9ce1e80c442725d38ff0e858",
+        ),
+        (
+            cube_model(),
+            get_assignment(cube_model(), "labeling"),
+            3,
+            (Fraction(1, 9), Fraction(2, 5), Fraction(5, 6)),
+            866,
+            "ec9ba5fc47c2779051ddc345a44d6afeafb293796cf3b9fd3dad5c32e8b8ed96",
+            "7707fd3e7c894222c7c80cb27b94f4672af35351768a25f150d4ea75944b0d24",
         ),
     ],
 )
-def test_subdivided_complex_is_byte_identical(model, assignment, n, positions, cells, digest):
+def test_subdivided_complex_is_byte_identical(
+    model, assignment, n, positions, cells, digest, report
+):
     # expand reports only counts, so this pins the ids, labels, faces and
-    # cell order of the expansion itself
-    K = subdivide(model, assignment, n, positions).cells
-    assert len(K) == cells
-    assert sha256(to_json(K).encode()).hexdigest() == digest
+    # cell order of the expansion itself, and its full report
+    E = subdivide(model, assignment, n, positions)
+    assert len(E.cells) == cells
+    assert sha256(to_json(E.cells).encode()).hexdigest() == digest
+    assert sha256(dumps(expanded_complex_report(E)).encode()).hexdigest() == report
 
 
 def test_sampled_cube_vertex_orders_glue_and_are_torus_compatible():
