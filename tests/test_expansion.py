@@ -425,6 +425,42 @@ def test_subdivided_complex_is_byte_identical(
     assert sha256(dumps(expanded_complex_report(E)).encode()).hexdigest() == report
 
 
+def test_seeded_builds_keep_their_cells_and_reports_byte_identical():
+    # one digest over the cells, the report and both certificates of a seeded
+    # sample: both models at n = 0..5, a vertex order and two random pairs at
+    # each, at positions not closed under P -> 1 - P, so that the sides of a
+    # failing edge place distinct nodes
+    rng = random.Random(30)
+    digest = sha256()
+    glued = 0
+    for m in (quartic_model(), cube_model()):
+        for n in range(6):
+            for trial in range(3):
+                while True:
+                    positions = sorted(Fraction(p, 97) for p in rng.sample(range(1, 97), n))
+                    if n == 0 or {1 - p for p in positions} != set(positions):
+                        break
+                if trial:
+                    assignment = BlowupAssignment(
+                        {t: tuple(rng.sample(t, 2)) for t in m.triangles}
+                    )
+                else:
+                    assignment = assignment_from_order(m, rng.sample(m.vertices, len(m.vertices)))
+                E = subdivide(m, assignment, n, positions)
+                gluing = check_gluing(E)
+                glued += gluing.glues
+                for part in (
+                    to_json(E.cells),
+                    dumps(expanded_complex_report(E)),
+                    dumps(gluing.to_json_obj()),
+                    dumps(check_torus_compatibility(E).to_json_obj()),
+                ):
+                    digest.update(part.encode())
+    # the vertex orders glue, and at n = 0 every assignment does
+    assert glued == 16
+    assert digest.hexdigest() == "fca6d8b2bd8fab5f06c2260b8f2d38ee5b84d74bd76796b573e6c2b1bc8d78dc"
+
+
 def test_sampled_cube_vertex_orders_glue_and_are_torus_compatible():
     m = cube_model()
     orders = list(permutations(m.vertices))
