@@ -22,22 +22,22 @@ from its first endpoint u when that is the side's distinguished endpoint
 side reads the edge, levels 0 and n+1 being the endpoints.
 `edge_orientation` is the one owner of gluing agreement.  `subdivide` works
 out, once per call, a layout for each set of directions an edge's sides can
-take (forward, backward, or both): the edge's interior positions in order
-from u and their strings, each direction's level indices into the edge's
-points, and each direction's segment symbols (segment t_l runs from level
-l-1 to level l) with the segment lengths.  Each edge reads its layout, so
-the node census, each node's levels and the segment symbols are integer
-lookups.  A node that only the neighbouring triangle places on a shared
-edge is a foreign point and sits between two consecutive levels.  Foreign
-points occur only where the two sides of an edge disagree on its
-distinguished endpoint, that is for assignments that do not glue, and not
-even there when the positions are symmetric under P -> 1 - P.  Grid point
-(a, b), 0 <= a <= b <= n+1, is where the level-a chord parallel to S-T
-meets the level-b chord parallel to F-T (levels 0 and n+1 being the sides
-themselves).  `grid_side` is the one classifier of grid points, used by
-`subdivide` and by the Hilbert-square face maps: the point lies on the F-S
-edge when a = b, on the S-T edge when a = 0, on the F-T edge when b = n+1,
-and is otherwise the corner box (a, b).
+take (forward, backward, or both): the interior positions from u, each
+direction's level indices into the edge's points, and the segment lengths.
+Each edge keeps one `EdgeLine`, which stores each side's level indices
+once, and the rest derives from them: the distinguished endpoint is where
+level 0 sits, a node's levels are their inverse, and segment t_l runs from
+level l-1 to level l.  A node that only the neighbouring triangle places
+on a shared edge is a foreign point and sits between two consecutive
+levels.  Foreign points occur only where the two sides of an edge
+disagree on its distinguished endpoint, that is for assignments that do
+not glue, and not even there when the positions are symmetric under
+P -> 1 - P.  Grid point (a, b), 0 <= a <= b <= n+1, is where the level-a
+chord parallel to S-T meets the level-b chord parallel to F-T (levels 0
+and n+1 being the sides themselves).  `grid_side` is the one classifier
+of grid points, used by `subdivide` and by the Hilbert-square face maps:
+the point lies on the F-S edge when a = b, on the S-T edge when a = 0, on
+the F-T edge when b = n+1, and is otherwise the corner box (a, b).
 
 Grid region (i, j), 0 <= i <= j <= n, is a triangle along F-S when i = j
 and a quadrilateral otherwise.  `subdivide` walks the regions in order,
@@ -49,11 +49,12 @@ these cycles lie on base edges: (i, n+1) -> (i+1, n+1) on F-T when j = n,
 (i+1, i+1) -> (i, i) on F-S when i = j, and (0, j) -> (0, j+1) on S-T when
 i = 0; the foreign points are inserted along those.  Each cycle is star
 triangulated from an auxiliary center vertex, which preserves the
-closed-surface invariants, and is then dropped: only the count of regions
-per triangle is kept.  The 1-cells are the sides of the region cycles
-(chord pieces and atomic segments of the base edges) and the spokes to the
-centers.  A region makes its spokes once, since no other region meets them,
-and each of its triangles from two spokes and one lookup of its cycle side.
+closed-surface invariants, and is then dropped: the report counts the
+(n+1)(n+2)/2 regions of each triangle.  The 1-cells are the sides of the
+region cycles (chord pieces and atomic segments of the base edges) and the
+spokes to the centers.  A region makes its spokes once, since no other
+region meets them, and each of its triangles from two spokes and one
+lookup of its cycle side.
 """
 from __future__ import annotations
 
@@ -204,11 +205,35 @@ def assignment_from_json_obj(model: SurfaceModel, obj) -> BlowupAssignment:
     return assignment
 
 
-class EdgeNode(NamedTuple):
-    edge: Pair
-    position: Fraction  # measured from the canonical (sorted-first) endpoint
-    cell_id: str
-    levels: dict  # triangle key -> level index claimed by that side
+class EdgeLine(NamedTuple):
+    """A base edge as the subdivision places points on it, from its first
+    endpoint u.  A side's level 0 sits at its distinguished endpoint, and
+    each node's levels and each side's symbols derive from `sides`."""
+
+    ids: list[str]  # vertex ids of the edge's points, in order from u
+    names: list[str]  # the interior points' positions from u, as strings
+    segments: list[tuple[str, str]]  # (1-cell id, length) of each atomic segment
+    sides: dict  # triangle key -> index among `ids` of each level 0..n+1
+
+    def node_levels(self) -> list[dict]:
+        """{triangle: level} of each interior point, in order from u, over
+        the sides that place it."""
+        levels = [{} for _ in self.names]
+        for tri, at in self.sides.items():
+            for k in range(1, len(at) - 1):
+                levels[at[k] - 1][tri] = k
+        return levels
+
+    def symbols(self, tri) -> list[int]:
+        """The symbol of each atomic segment, in order from u, as the side
+        of `tri` reads it: segment t_l runs from level l-1 to level l, across
+        any foreign points between them."""
+        at = self.sides[tri]
+        symbols = [0] * len(self.segments)
+        for l in range(1, len(at)):
+            lo, hi = sorted(at[l - 1 : l + 1])
+            symbols[lo:hi] = [l] * (hi - lo)
+        return symbols
 
 
 class CornerBox(NamedTuple):
@@ -239,14 +264,8 @@ class ExpandedComplex(NamedTuple):
     level: int
     positions: tuple[Fraction, ...]
     cells: DeltaComplex
-    edge_nodes: list[EdgeNode]  # sorted by edge, then by position along it
+    lines: dict  # edge -> EdgeLine; empty at depth 0
     boxes: list[CornerBox]
-    regions_per_triangle: dict  # triangle key -> number of grid regions
-    colored_segments: dict  # edge -> {triangle key -> (segment records, ...)}
-    distinguished: dict  # edge -> {triangle key -> distinguished endpoint}
-
-    def exceptional_vertex_count(self) -> int:
-        return len(self.edge_nodes) + len(self.boxes)
 
 
 def _vid(name: str) -> str:
@@ -271,26 +290,18 @@ def _check_positions(n: int, positions) -> tuple[Fraction, ...]:
 def _edge_layout(P: tuple[Fraction, ...], directions) -> tuple:
     """The points of an edge whose sides read it in `directions` (True for
     forward, from the edge's first endpoint u; False for backward), as
-    (interior positions from u, their strings, {direction: index among the
-    edge's points of each level 0..n+1}, {direction: (symbol, color,
-    length) of each atomic segment}).  Level k of a direction sits at P_k
-    from where it reads the edge, and segment t_l runs from level l-1 to
-    level l, across any foreign points between them."""
+    (the interior positions from u as strings, {direction: index among the
+    edge's points of each level 0..n+1}, the length of each atomic
+    segment).  Level k of a direction sits at P_k from where it reads the
+    edge."""
     ladder = (Fraction(0), *P, Fraction(1))
     ladders = {True: ladder, False: tuple(1 - pos for pos in ladder)}
     interior = sorted({ladders[d][k] for d in directions for k in range(1, len(P) + 1)})
     points = [Fraction(0), *interior, Fraction(1)]
     index = {pos: i for i, pos in enumerate(points)}
+    at = {d: tuple(index[pos] for pos in ladders[d]) for d in directions}
     lengths = [str(b - a) for a, b in zip(points, points[1:])]
-    at, segments = {}, {}
-    for d in directions:
-        at[d] = [index[pos] for pos in ladders[d]]
-        symbols = [0] * len(lengths)
-        for l in range(1, len(ladder)):
-            lo, hi = sorted(at[d][l - 1 : l + 1])
-            symbols[lo:hi] = [l] * (hi - lo)
-        segments[d] = [(k, color_name(k), length) for k, length in zip(symbols, lengths)]
-    return interior, [str(pos) for pos in interior], at, segments
+    return [str(pos) for pos in interior], at, lengths
 
 
 def subdivide(
@@ -310,8 +321,7 @@ def subdivide(
         raise ValueError("subdivision depth must be nonnegative")
     P = default_positions(n) if positions is None else _check_positions(n, positions)
     if n == 0:
-        regions = {t: 1 for t in model.triangles}
-        return ExpandedComplex(model, assignment, 0, P, model.sphere, [], [], regions, {}, {})
+        return ExpandedComplex(model, assignment, 0, P, model.sphere, {}, [])
 
     # a list, so that DeltaComplex refuses an id made twice; the labels of
     # the vertices are kept apart, for the labels of the edges
@@ -340,52 +350,32 @@ def subdivide(
     # a side reads its edge forward when its distinguished endpoint is the
     # edge's first endpoint u, backward otherwise; an edge reads the layout of
     # the directions its sides take, and each side its direction's levels
-    distinguished = edge_sides(model, assignment)
     layouts: dict = {}
-    edge_nodes = []
-    colored_segments: dict = {}
-    lines: dict = {}  # edge -> (its point ids from u, {direction: index of each level})
-    for e in sorted(distinguished):
+    lines: dict = {}
+    for e, sides in sorted(edge_sides(model, assignment).items()):
         u, v = e
-        sides = {tri: dist == u for tri, dist in distinguished[e].items()}
-        pattern = frozenset(sides.values())
+        forward = {tri: dist == u for tri, dist in sides.items()}
+        pattern = frozenset(forward.values())
         if pattern not in layouts:
             layouts[pattern] = _edge_layout(P, pattern)
-        positions, names, at, segments = layouts[pattern]
+        names, at, lengths = layouts[pattern]
         ids = [_vid(u)]
         for name in names:
             nid = f"x:{u}|{v}@{name}"
             vertex(nid, f"{u}-{v} node at {name}")
             ids.append(nid)
         ids.append(_vid(v))
-        lines[e] = ids, at
-        levels = [{} for _ in names]
-        for tri in sorted(sides):
-            at_side = at[sides[tri]]
-            for k in range(1, n + 1):
-                levels[at_side[k] - 1][tri] = k
-        edge_nodes += [
-            EdgeNode(e, pos, nid, lev) for pos, nid, lev in zip(positions, ids[1:-1], levels)
-        ]
-        seg_ids = [pair_cell(a, b) for a, b in zip(ids, ids[1:])]
-        records = {
-            forward: tuple(
-                {"segment": sid, "symbol": k, "color": color, "length": length}
-                for sid, (k, color, length) in zip(seg_ids, segments[forward])
-            )
-            for forward in pattern
-        }
-        colored_segments[e] = {tri: records[forward] for tri, forward in sides.items()}
+        segments = [(pair_cell(a, b), length) for a, b, length in zip(ids, ids[1:], lengths)]
+        lines[e] = EdgeLine(ids, names, segments, {tri: at[d] for tri, d in forward.items()})
 
     # ---- one walk of each triangle's level grid ----------------------------
     boxes = []
-    regions: dict = {}
     for tri in model.triangles:
         tkey, name = "|".join(tri), "-".join(tri)
-        role_lines = {}
-        for r, (e, dist) in edge_roles(assignment, tri).items():
-            ids, at = lines[e]
-            role_lines[r] = ids, at[dist == e[0]]
+        role_lines = {
+            r: (lines[e].ids, lines[e].sides[tri])
+            for r, (e, _) in edge_roles(assignment, tri).items()
+        }
         # the vertex id of every grid point (a, b), a <= b, made once
         grid = []
         for a in range(n + 2):
@@ -452,20 +442,8 @@ def subdivide(
                     else:
                         tid, faces = f"T[{a}][{b}][{cid}]", ((sb, 1), (sa, -1), (rim, 1))
                     cells.append(Cell(tid, 2, label, faces))
-        regions[tri] = (n + 1) * (n + 2) // 2
 
-    return ExpandedComplex(
-        model,
-        assignment,
-        n,
-        P,
-        DeltaComplex(cells),
-        edge_nodes,
-        boxes,
-        regions,
-        colored_segments,
-        distinguished,
-    )
+    return ExpandedComplex(model, assignment, n, P, DeltaComplex(cells), lines, boxes)
 
 
 def check_gluing(E: ExpandedComplex) -> GluingReport:
@@ -475,23 +453,14 @@ def check_gluing(E: ExpandedComplex) -> GluingReport:
     Both sides must place their nodes at the same positions with the same
     levels and must color the resulting segments with the same symbol
     sequence; a node at a matching position with mismatched colors is still
-    a failure.  The report is assembled in sorted edge order, so it is
-    independent of any triangle processing order.
+    a failure.  A side's levels sit at the points `EdgeLine.sides` gives
+    it, and its symbols follow from them, so the sides agree exactly when
+    those level indices do.  The report is assembled in sorted edge order,
+    so it is independent of any triangle processing order.
     """
-    placed: dict = {}  # edge -> {triangle -> [(position from u, level), ...]}
-    for node in E.edge_nodes:
-        for t, level in node.levels.items():
-            placed.setdefault(node.edge, {}).setdefault(t, []).append((node.position, level))
     failures = []
-    for e in sorted(placed):
-        sides = placed[e]
-        tris = sorted(sides)
-
-        def side_view(t):
-            symbols = tuple(s["symbol"] for s in E.colored_segments[e][t])
-            return (sides[t], symbols)
-
-        if side_view(tris[0]) != side_view(tris[1]):
+    for e, line in sorted(E.lines.items()):
+        if len(set(line.sides.values())) > 1:
             failures.append(
                 {
                     "edge": list(e),
@@ -499,13 +468,13 @@ def check_gluing(E: ExpandedComplex) -> GluingReport:
                         {
                             "triangle": list(t),
                             "nodes": [
-                                {"position": str(pos), "level": lev}
-                                for pos, lev in sides[t]
+                                {"position": line.names[i - 1], "level": k}
+                                for i, k in sorted(zip(at[1:-1], range(1, len(at) - 1)))
                             ],
-                            "symbols": [s["symbol"] for s in E.colored_segments[e][t]],
-                            "distinguished_endpoint": E.distinguished[e][t],
+                            "symbols": line.symbols(t),
+                            "distinguished_endpoint": e[0] if at[0] == 0 else e[1],
                         }
-                        for t in tris
+                        for t, at in sorted(line.sides.items())
                     ],
                 }
             )
@@ -516,26 +485,31 @@ def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
     """Report every subdivision node whose sides disagree on its arrows.
 
     Each side that places a node gives it one arrow, at its level, pointing
-    along the carrier edge toward that side's distinguished endpoint; both
-    come from the node census (`EdgeNode.levels`, `distinguished`).  A node
-    only one side places gets no arrow from the other, whose torus moves it
+    along the carrier edge toward that side's distinguished endpoint, where
+    its level 0 sits; both come from the edge's `EdgeLine`.  A node only
+    one side places gets no arrow from the other, whose torus moves it
     along its segment, a conflict of its own kind; so the check passes
     exactly when the sides of every edge agree, that is when the assignment
     glues.  The owning triangle always agrees with its own arrow at a chord
     endpoint, so a chord can only disagree where a node does: chords need no
     check of their own.
     """
+    nodes = [
+        (nid, levels, line)
+        for line in E.lines.values()
+        for nid, levels in zip(line.ids[1:-1], line.node_levels())
+    ]
     conflicts = []
-    for node in sorted(E.edge_nodes, key=lambda node: node.cell_id):
+    for nid, levels, line in sorted(nodes, key=lambda node: node[0]):
         arrows = {
-            t: {str(node.levels[t]): _vid(dist)} if t in node.levels else {}
-            for t, dist in E.distinguished[node.edge].items()
+            t: {str(levels[t]): line.ids[at[0]]} if t in levels else {}
+            for t, at in line.sides.items()
         }
         if len({tuple(a.items()) for a in arrows.values()}) > 1:
-            one_sided = len(node.levels) == 1
+            one_sided = len(levels) == 1
             conflicts.append(
                 {
-                    "cell": node.cell_id,
+                    "cell": nid,
                     "kind": "node placed by one side" if one_sided else "node arrow mismatch",
                     "sides": [{"triangle": list(t), "arrows": a} for t, a in arrows.items()],
                 }
@@ -545,31 +519,37 @@ def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
 
 def expanded_complex_report(E: ExpandedComplex) -> dict:
     counts = list(f_vector(E.cells))
+    lines = sorted(E.lines.items())
+    edge_nodes = [
+        {
+            "edge": list(e),
+            "position": name,
+            "levels": {"|".join(t): k for t, k in levels.items()},
+        }
+        for e, line in lines
+        for name, levels in zip(line.names, line.node_levels())
+    ]
+    regions = (E.level + 1) * (E.level + 2) // 2
     return {
         "model": E.model.name,
         "level": E.level,
         "positions": [str(p) for p in E.positions],
         "f_vector": counts,
         "euler_characteristic": euler_of_counts(counts),
-        "edge_nodes": [
-            {
-                "edge": list(node.edge),
-                "position": str(node.position),
-                "levels": {"|".join(t): lev for t, lev in node.levels.items()},
-            }
-            for node in E.edge_nodes
-        ],
+        "edge_nodes": edge_nodes,
         "boxes": [
             {"triangle": list(b.triangle), "levels": list(b.levels)} for b in E.boxes
         ],
-        "exceptional_vertex_count": E.exceptional_vertex_count(),
-        "regions_per_triangle": {
-            "-".join(t): c for t, c in sorted(E.regions_per_triangle.items())
-        },
+        "exceptional_vertex_count": len(edge_nodes) + len(E.boxes),
+        "regions_per_triangle": {"-".join(t): regions for t in E.model.triangles},
         "colored_segments": {
             f"{e[0]}-{e[1]}": {
-                "|".join(t): list(segs) for t, segs in sorted(sides.items())
+                "|".join(t): [
+                    {"segment": sid, "symbol": k, "color": color_name(k), "length": length}
+                    for (sid, length), k in zip(line.segments, line.symbols(t))
+                ]
+                for t in sorted(line.sides)
             }
-            for e, sides in sorted(E.colored_segments.items())
+            for e, line in lines
         },
     }

@@ -31,6 +31,16 @@ def closed_surface(K):
     return all(counts.get(e.id, 0) == 2 for e in K.cells_of_dim(1))
 
 
+def edge_nodes(E) -> list:
+    """(edge, position string, node id, {triangle: level}) of every node,
+    by edge and then by position along it."""
+    return [
+        (e, name, nid, levels)
+        for e, line in sorted(E.lines.items())
+        for name, nid, levels in zip(line.names, line.ids[1:-1], line.node_levels())
+    ]
+
+
 def assert_levels_follow_their_definition(E):
     """Check every side of every edge against the definitions, from the
     assignment's roles alone: a node's level k on a side means it sits at
@@ -40,48 +50,51 @@ def assert_levels_follow_their_definition(E):
     n = E.level
     P = (Fraction(0), *E.positions, Fraction(1))
     nodes = {e: [] for e in E.model.edges}
-    for node in E.edge_nodes:
-        nodes[node.edge].append(node)
+    for e, name, nid, levels in edge_nodes(E):
+        nodes[e].append((Fraction(name), nid, levels))
     for tri in E.model.triangles:
         F, S, T = E.assignment.roles(tri)
         for (a, b), dist in (((F, S), S), ((S, T), S), ((F, T), T)):
             e = tuple(sorted((a, b)))
             # position of every point of e from its first endpoint
             at = {f"v:{e[0]}": Fraction(0), f"v:{e[1]}": Fraction(1)}
-            at.update({node.cell_id: node.position for node in nodes[e]})
+            at.update({nid: pos for pos, nid, _ in nodes[e]})
 
             def from_dist(vid):
                 return at[vid] if dist == e[0] else 1 - at[vid]
 
-            levels = {node.cell_id: node.levels[tri] for node in nodes[e] if tri in node.levels}
+            levels = {nid: lev[tri] for _, nid, lev in nodes[e] if tri in lev}
             assert sorted(levels.values()) == list(range(1, n + 1))
             for vid, k in levels.items():
                 assert from_dist(vid) == P[k]
-            segments = E.colored_segments[e][tri]
+            line = E.lines[e]
+            segments = list(zip(line.segments, line.symbols(tri)))
             assert len(segments) == len(at) - 1
-            for seg in segments:
-                ends = [fid for fid, _ in E.cells[seg["segment"]].faces]
+            for (sid, _), symbol in segments:
+                ends = [fid for fid, _ in E.cells[sid].faces]
                 near = min(from_dist(vid) for vid in ends)
-                assert seg["symbol"] == sum(1 for p in P if p <= near)
+                assert symbol == sum(1 for p in P if p <= near)
 
 
 def assert_matches_the_node_census(E):
     """The nodes, levels and atomic segments of every edge side agree with
     the position-keyed census of `oracles.node_census`."""
     census = node_census(E.model, E.assignment, E.positions)
-    assert [(node.edge, node.position, node.cell_id, node.levels) for node in E.edge_nodes] == [
-        (e, *node) for e, (nodes, _) in census.items() for node in nodes
+    assert edge_nodes(E) == [
+        (e, str(pos), nid, levels)
+        for e, (nodes, _) in census.items()
+        for pos, nid, levels in nodes
     ]
     for e, (nodes, segments) in census.items():
         points = [f"v:{e[0]}", *(nid for _, nid, _ in nodes), f"v:{e[1]}"]
-        assert list(E.colored_segments[e]) == list(segments)
+        line = E.lines[e]
+        assert list(line.sides) == list(segments)
         for tri, expected in segments.items():
-            segs = E.colored_segments[e][tri]
-            assert [(s["symbol"], s["length"]) for s in segs] == [
-                (k, str(length)) for k, length in expected
-            ]
-            for seg, a, b in zip(segs, points, points[1:]):
-                assert {fid for fid, _ in E.cells[seg["segment"]].faces} == {a, b}
+            assert [
+                (k, length) for k, (_, length) in zip(line.symbols(tri), line.segments)
+            ] == [(k, str(length)) for k, length in expected]
+            for (sid, _), a, b in zip(line.segments, points, points[1:]):
+                assert {fid for fid, _ in E.cells[sid].faces} == {a, b}
 
 
 def test_default_assignment_pairs():
@@ -95,16 +108,16 @@ def test_subdivide_n0_returns_model():
     m = quartic_model()
     E = subdivide(m, get_assignment(m, "default"), 0)
     assert E.cells is m.sphere
-    assert E.exceptional_vertex_count() == 0
+    assert expanded_complex_report(E)["exceptional_vertex_count"] == 0
 
 
 def test_quartic_n1_census():
     m = quartic_model()
     E = subdivide(m, get_assignment(m, "default"), 1)
     # one glued node per tetrahedron edge; each triangle cut into 3 regions
-    assert len(E.edge_nodes) == 6
+    assert len(edge_nodes(E)) == 6
     assert len(E.boxes) == 0
-    assert set(E.regions_per_triangle.values()) == {3}
+    assert set(expanded_complex_report(E)["regions_per_triangle"].values()) == {3}
     assert validate(E.cells) == []
     assert euler_characteristic(E.cells) == 2
     assert closed_surface(E.cells)
@@ -114,10 +127,11 @@ def test_quartic_n2_census():
     m = quartic_model()
     E = subdivide(m, get_assignment(m, "default"), 2)
     # explicit cell census: 2 nodes per edge plus one corner box per triangle
-    assert len(E.edge_nodes) == 12
+    report = expanded_complex_report(E)
+    assert len(edge_nodes(E)) == 12
     assert len(E.boxes) == 4
-    assert E.exceptional_vertex_count() == 16
-    assert set(E.regions_per_triangle.values()) == {6}
+    assert report["exceptional_vertex_count"] == 16
+    assert set(report["regions_per_triangle"].values()) == {6}
     assert validate(E.cells) == []
     assert euler_characteristic(E.cells) == 2
     assert closed_surface(E.cells)
@@ -175,8 +189,8 @@ def test_cube_labeling_assignment_glues():
     a = get_assignment(m, "labeling")
     E = subdivide(m, a, 1)
     assert check_gluing(E).glues
-    assert len(E.edge_nodes) == 12
-    assert set(E.regions_per_triangle.values()) == {3}
+    assert len(edge_nodes(E)) == 12
+    assert set(expanded_complex_report(E)["regions_per_triangle"].values()) == {3}
     assert validate(E.cells) == []
     assert closed_surface(E.cells)
 
@@ -235,15 +249,16 @@ def test_color_length_bookkeeping_matches_across_sides():
     m = quartic_model()
     E = subdivide(m, get_assignment(m, "default"), 2, positions=[Fraction(1, 5), Fraction(1, 2)])
     assert check_gluing(E).glues
-    for e, sides in E.colored_segments.items():
+    for key, sides in expanded_complex_report(E)["colored_segments"].items():
         views = [
             [(s["symbol"], s["length"]) for s in segs] for segs in sides.values()
         ]
         assert views[0] == views[1]
         # read from the distinguished endpoint the colors are green, pink, t3
-        tri = sorted(sides)[0]
-        colors = [s["color"] for s in sides[tri]]
-        if E.distinguished[e][tri] != e[0]:
+        tkey = sorted(sides)[0]
+        colors = [s["color"] for s in sides[tkey]]
+        e = tuple(key.split("-"))
+        if dict(edge_roles(E.assignment, tkey.split("|")).values())[e] != e[0]:
             colors = list(reversed(colors))
         assert colors == ["green", "pink", "t3"]
 
@@ -276,10 +291,10 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
             E = subdivide(m, assignment, n)
             # read along each edge, the nodes each side places carry its
             # levels 1..n, each once, from one endpoint
-            for e, sides in E.distinguished.items():
-                on_e = [node for node in E.edge_nodes if node.edge == e]
-                for t in sides:
-                    levels = [node.levels[t] for node in on_e if t in node.levels]
+            for line in E.lines.values():
+                on_e = line.node_levels()
+                for t in line.sides:
+                    levels = [node[t] for node in on_e if t in node]
                     assert levels in (list(range(1, n + 1)), list(range(n, 0, -1)))
             glues = check_gluing(E).glues
             assert check_torus_compatibility(E).compatible == glues
@@ -289,7 +304,7 @@ def test_each_side_gives_a_node_one_level_for_every_quartic_assignment():
         # its neighbour's has nodes the neighbour lacks: the neighbour's
         # regions must take them into their boundary cycles
         E = subdivide(m, assignment, 2, positions=[Fraction(1, 5), Fraction(1, 2)])
-        with_foreign_nodes += any(len(node.levels) == 1 for node in E.edge_nodes)
+        with_foreign_nodes += any(len(levels) == 1 for *_, levels in edge_nodes(E))
         # a node only one side places is a torus conflict too
         assert check_torus_compatibility(E).compatible == check_gluing(E).glues
         assert_levels_follow_their_definition(E)
@@ -352,7 +367,7 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
         for _ in range(40):
             assignment = BlowupAssignment({t: tuple(rng.sample(t, 2)) for t in m.triangles})
             E = subdivide(m, assignment, 3, positions=positions)
-            with_foreign_nodes += any(len(node.levels) == 1 for node in E.edge_nodes)
+            with_foreign_nodes += any(len(levels) == 1 for *_, levels in edge_nodes(E))
             # here the sides of a failing edge share no node at all
             assert check_torus_compatibility(E).compatible == check_gluing(E).glues
             assert validate(E.cells) == []

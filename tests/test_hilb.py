@@ -272,11 +272,12 @@ def _chord_coordinates(E) -> dict:
     for tri in E.model.triangles:
         F, S, T = E.assignment.roles(tri)
         cells.update({(tri, (0, 0)): f"v:{S}", (tri, (1, 1)): f"v:{F}", (tri, (0, 1)): f"v:{T}"})
-        for role, (e, dist) in edge_roles(E.assignment, tri).items():
-            for node in E.edge_nodes:
-                if node.edge == e:
-                    p = node.position if dist == e[0] else 1 - node.position
-                    cells[tri, {"FS": (p, p), "ST": (0, p), "FT": (p, 1)}[role]] = node.cell_id
+        # at depth 0 there is no node, and no line
+        for role, (e, dist) in edge_roles(E.assignment, tri).items() if E.lines else ():
+            line = E.lines[e]
+            for name, nid in zip(line.names, line.ids[1:-1]):
+                p = Fraction(name) if dist == e[0] else 1 - Fraction(name)
+                cells[tri, {"FS": (p, p), "ST": (0, p), "FT": (p, 1)}[role]] = nid
     for box in E.boxes:
         j, k = box.levels
         cells[box.triangle, (P[j], P[k])] = box.cell_id
@@ -286,9 +287,10 @@ def _chord_coordinates(E) -> dict:
 def _components(E) -> dict:
     """Cell id -> Hilbert-scheme component of every non-centre 0-cell of E."""
     comps = {f"v:{v}": ("Y", v) for v in E.model.vertices}
-    for node in E.edge_nodes:
-        (level,) = set(node.levels.values())
-        comps[node.cell_id] = ("E", node.edge, level)
+    for e, line in E.lines.items():
+        for nid, levels in zip(line.ids[1:-1], line.node_levels()):
+            (level,) = set(levels.values())
+            comps[nid] = ("E", e, level)
     for box in E.boxes:
         comps[box.cell_id] = ("B", box.triangle, *box.levels)
     return comps
