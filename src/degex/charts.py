@@ -220,9 +220,10 @@ def delta_coincidence_check(
 ) -> bool:
     """On the x = y = 0, z != 0 locus the k-th x-pair and the (n+1-k)-th
     y-pair determine each other through the cross relation
-    x0 y0 z = x1 y1; the check verifies this determinacy in both directions
-    on random pairs.  With z = 0 the relation degenerates and determinacy
-    fails.
+    x0 y0 z = x1 y1.  The check derives the x-pair from that relation and
+    then checks the relation and the way back, so it certifies nothing: it
+    returns `z_nonzero` (with z = 0 the derived pair or the way back fails).
+    ROADMAP item 5 replaces it with a certificate of the local model.
     """
     if not 1 <= k <= n:
         raise ValueError("level out of range")

@@ -109,10 +109,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _read_json(path: str):
+    """The value of a JSON input file.  A document nested deeper than the
+    decoder can follow is an input error, like any other malformed file."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 def _load_assignment(model, spec: str):
     if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
-            return assignment_from_json_obj(model, json.load(fh))
+        return assignment_from_json_obj(model, _read_json(spec[1:]))
     return get_assignment(model, spec)
 
 
@@ -146,19 +156,18 @@ def cmd_expand(args) -> tuple[dict, str]:
 
 
 def cmd_certify(args) -> tuple[dict, str]:
-    # imported here, not at the top: it would add about 1.1 ms (-X importtime)
-    # to the 10 ms import of this module, which every command and the
-    # benchmark's set-up time pay, and only this command needs it
+    # imported here, not at the top: it would add 1.0-1.6 ms (-X importtime),
+    # 2-3% of the benchmark's set-up time, to the import of this module,
+    # which every command pays, and only this command needs it
     from .projectivity import (
         builtin_certificates,
-        certificates_from_json,
+        certificates_from_json_obj,
         check_edge_agreement,
         check_strict_convexity,
     )
 
     if args.certificates:
-        with open(args.certificates, encoding="utf-8") as fh:
-            certs = certificates_from_json(fh.read())
+        certs = certificates_from_json_obj(_read_json(args.certificates))
     else:
         certs = builtin_certificates()
     parsed = (parse_fraction(s, "argument --tau") for s in args.tau or DEFAULT_TAUS)

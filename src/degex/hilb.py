@@ -48,7 +48,15 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement, zip_longest
 from typing import NamedTuple
 
-from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector, validate
+from .complexes import (
+    Cell,
+    DeltaComplex,
+    betti_numbers,
+    euler_of_counts,
+    f_vector,
+    h1_torsion,
+    validate,
+)
 from .expansion import BlowupAssignment, edge_orientation, edge_roles, get_assignment, grid_side
 from .models import SurfaceModel, get_model
 
@@ -442,9 +450,6 @@ def compare_with_reference(fv, model_name: str, m: int = 2) -> dict:
 
 
 def homology_report(model: SurfaceModel, m: int = 2) -> dict:
-    # looked up at call time, so a patched or traced complexes name is used
-    from .complexes import betti_numbers, h1_torsion
-
     K, _ = build_pi(model, m)
     report = {
         "model": model.name,

@@ -17,8 +17,8 @@ convention.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from . import parse_fraction
@@ -124,8 +124,8 @@ def certificate_from_json_obj(obj: dict) -> FaceCertificate:
     return FaceCertificate(name, corners, tuple(roles), pieces)
 
 
-def certificates_from_json(text: str) -> list[FaceCertificate]:
-    faces = _field(json.loads(text), "faces", "certificate file", list)
+def certificates_from_json_obj(obj) -> list[FaceCertificate]:
+    faces = _field(obj, "faces", "certificate file", list)
     if not faces:
         raise ValueError("certificate file field 'faces' lists no face")
     return [certificate_from_json_obj(o) for o in faces]
@@ -327,8 +327,6 @@ def check_edge_agreement(certs, tau: Fraction) -> list[EdgeAgreement]:
     agree identically on the edge, and the first disagreement (the witness)
     is a sample point.
     """
-    from itertools import combinations
-
     tau = Fraction(tau)
     reports = []
     for i in range(len(certs)):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from degex import charts, complexes, dumps, hilb
+from degex import charts, dumps, hilb
 from degex.charts import ChartPoint
 from degex.cli import run
 from degex.expansion import GluingReport, get_assignment
@@ -259,7 +259,7 @@ def test_hilb_homology_quartic(capsys):
 
 
 def test_hilb_homology_flags_a_betti_mismatch(monkeypatch, capsys):
-    monkeypatch.setattr(complexes, "betti_numbers", lambda K: (1, 0, 0, 0, 1))
+    monkeypatch.setattr(hilb, "betti_numbers", lambda K: (1, 0, 0, 0, 1))
     code, report = invoke(["hilb", "homology", "quartic"], capsys)
     assert code == 3 and report["status"] == "flagged"
     assert report["results"]["matches_target"] is False
@@ -469,6 +469,24 @@ def test_malformed_assignment_file_is_one_line_usage_error(payload, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "quartic", "--n", "1", "--assignment", "@{}"],
+        ["certify-projectivity", "--certificates", "{}"],
+    ],
+)
+def test_deeply_nested_json_file_is_one_line_usage_error(argv, tmp_path, capsys):
+    # the decoder recurses once per level and gives up long before this depth
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert run([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(path) in captured.err
 
 
 def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):

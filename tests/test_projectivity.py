@@ -1,13 +1,16 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from degex.expansion import get_assignment
+from degex.models import quartic_model
 from degex.projectivity import (
     AffinePiece,
     FaceCertificate,
     builtin_certificates,
-    certificates_from_json,
+    certificates_from_json_obj,
     check_edge_agreement,
     check_strict_convexity,
 )
@@ -27,6 +30,16 @@ def test_builtin_shapes():
     assert (p.a_c, p.a_q, p.a_tau, p.b) == (0, 0, 1, 0)
     # coefficient of c in the first piece on Y1,Y2,Y3
     assert by_name["Y1,Y2,Y3"].pieces[0].a_c == 2
+
+
+def test_builtin_certificates_take_their_roles_from_the_default_assignment():
+    # the face functions are written for the quartic's default blow-up order,
+    # one certificate per triangle
+    assignment = get_assignment(quartic_model(), "default")
+    certs = builtin_certificates()
+    assert sorted(tuple(sorted(c.corners)) for c in certs) == list(quartic_model().triangles)
+    for cert in certs:
+        assert cert.roles == assignment.roles(tuple(cert.corners))
 
 
 def test_all_faces_pass_at_acceptance_taus():
@@ -171,7 +184,7 @@ def test_face_against_itself_agrees():
 def test_certificate_json_roundtrip():
     certs = builtin_certificates()
     text = certificates_to_json(certs)
-    back = certificates_from_json(text)
+    back = certificates_from_json_obj(json.loads(text))
     assert back == certs
 
 
