@@ -12,7 +12,10 @@ sorted keys by `degex.dumps`, byte-identical to
 the report's command and inputs are the parsed arguments, so the parser is
 the one owner of each command's argument list.  A census mismatch fails
 (exit 1) every command that builds the Hilbert-square complex, with an
-`internal_inconsistency` report in place of its results.
+`internal_inconsistency` report in place of its results.  `expand` fails
+unless the expansion glues, passes the torus check and has the sphere's
+Euler characteristic 2.  One parser, built by the first `run`, serves every
+later run in the process.
 """
 from __future__ import annotations
 
@@ -147,12 +150,11 @@ def cmd_expand(args) -> tuple[dict, str]:
     E = subdivide(model, assignment, args.n, positions=_parse_params(args.params))
     gluing = check_gluing(E)
     torus = check_torus_compatibility(E)
-    results = {
-        "expanded": expanded_complex_report(E),
-        "gluing": gluing.to_json_obj(),
-        "torus": torus.to_json_obj(),
-    }
-    return results, "pass" if gluing.glues and torus.compatible else "fail"
+    expanded = expanded_complex_report(E)
+    results = {"expanded": expanded, "gluing": gluing.to_json_obj(), "torus": torus.to_json_obj()}
+    # the expansion subdivides the model's sphere, so its Euler characteristic is 2
+    ok = gluing.glues and torus.compatible and expanded["euler_characteristic"] == 2
+    return results, "pass" if ok else "fail"
 
 
 def cmd_certify(args) -> tuple[dict, str]:
@@ -306,10 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of every run in this process, built by the first: building it
+# costs more than most parses, and argparse gives each parse a fresh
+# namespace, so no parse leaks into the next
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

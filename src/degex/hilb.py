@@ -23,10 +23,12 @@ model.  The contractions satisfy the simplicial identities
 d_i d_j = d_{j-1} d_i for i < j, so the alternating-sign boundary squares
 to zero.
 
-The complex is built from one concept: every stable type is a cell, its
-faces are given by the facet maps, and validation proves every facet is
-itself a stable type and that the boundary squares to zero.  `all_stable`
-generates each stable type as the sorted tuple of its indices into
+The complex is built from one concept: every stable type is a cell, and its
+faces are given by the facet maps.  The build checks that every facet is
+itself a stable type, and checks the identities on the collapse tables of
+each codimension rather than the composed boundary of each cell (see
+`table_violations`); the tests keep `complexes.validate` as the oracle.
+`all_stable` generates each stable type as the sorted tuple of its indices into
 `components_at_codim`, whose list is sorted, so the components a type names
 come in sorted order too; its base codimension is the level it sits on.
 `build_pi` uses these index tuples as they come: a type's label is one join
@@ -34,13 +36,12 @@ of component names formatted once per codimension, and its key is
 `c<codim>:` and the label.  Each collapse map is an index table per
 codimension and slot, from each component's index to the index of its image
 one level below, and a facet, sorted, finds its id among the index tuples of
-the level below.  A facet that is not a stable
-type keeps its own key, which validation reports as a dangling face.  The
-case census (one named family per proof case, built from the model strata)
-is an independent listing of the same cells: each family lists its types,
-and together they must be exactly the stable types, each once.  A mismatch
-is a hard failure whose report lists the keys listed but not stable and
-stable but not listed.
+the level below.  A facet that is not a stable type keeps its own key and
+is reported as a dangling face.  The case census (one named family per
+proof case, built from the model strata) is an independent listing of the
+same cells: each family lists its types, and together they must be exactly
+the stable types, each once.  A mismatch is a hard failure whose report
+lists the keys listed but not stable and stable but not listed.
 """
 from __future__ import annotations
 
@@ -51,11 +52,11 @@ from typing import NamedTuple
 from .complexes import (
     Cell,
     DeltaComplex,
+    Violation,
     betti_numbers,
     euler_of_counts,
     f_vector,
     h1_torsion,
-    validate,
 )
 from .expansion import BlowupAssignment, edge_orientation, edge_roles, get_assignment, grid_side
 from .models import SurfaceModel, get_model
@@ -201,6 +202,47 @@ def collapse_tables(
     return tables, list(index)
 
 
+def table_violations(comps: list, size: int, maps: tuple, lower: tuple) -> list[Violation]:
+    """What is wrong with the collapse tables of one codimension c.
+
+    `maps` is collapse_tables at c, `comps` the components it maps and
+    `size` the number of components at c - 1; `lower` is collapse_tables at
+    c - 1, with no tables at c = 2.  Each table must map into the
+    components at c - 1, and for i < j the simplicial identity
+    d_i d_j = d_{j-1} d_i must hold on every component.  A facet is its
+    type's components mapped through one table, then sorted, so when every
+    facet is a stable type these make the faces of the faces of every cell
+    cancel in pairs: the boundary squares to zero."""
+    tables, targets = maps
+    lower_tables, lower_targets = lower
+    c = len(tables)
+    out = [
+        Violation(
+            "collapse outside the components",
+            type_key(c, [comps[x]]),
+            f"slot {i} gives {point_str(targets[y])}",
+        )
+        for i, table in enumerate(tables, 1)
+        for x, y in enumerate(table)
+        if y >= size
+    ]
+    if out or not lower_tables:
+        return out
+    for i, j in combinations(range(1, c + 1), 2):
+        left, right = lower_tables[i - 1], lower_tables[j - 2]
+        for x, (a, b) in enumerate(zip(tables[j - 1], tables[i - 1])):
+            if left[a] != right[b]:
+                out.append(
+                    Violation(
+                        "simplicial identity fails",
+                        type_key(c, [comps[x]]),
+                        f"slots ({i}, {j}): d_{i} d_{j} gives {point_str(lower_targets[left[a]])}"
+                        f", d_{j - 1} d_{i} gives {point_str(lower_targets[right[b]])}",
+                    )
+                )
+    return out
+
+
 # ---------------------------------------------------------------------------
 # case census (independent of the complex construction)
 
@@ -334,8 +376,10 @@ def build_pi(model: SurfaceModel, m: int = 2):
     nonempty one, with faces from the facet maps.  Returns (complex,
     breakdowns).  For m = 2 the types enumerate_cases lists at each level
     must be exactly the stable types, each once, and breakdowns keeps the
-    census of every level; for other m it is empty.  Any disagreement, or a
-    complex failing validation, raises EnumerationMismatch.
+    census of every level; for other m it is empty.  Any disagreement raises
+    EnumerationMismatch, and so does a facet that is not a stable type (a
+    dangling face id) or a collapse table that fails `table_violations`,
+    all of them listed under the diff's "violations".
     """
     assignment = builtin_assignment(model)
     roles = {t: edge_roles(assignment, t) for t in model.triangles}
@@ -372,33 +416,42 @@ def build_pi(model: SurfaceModel, m: int = 2):
     # a type is its sorted tuple of indices into components_at_codim, which
     # is sorted, and its label one join of names formatted once per level.
     # Each facet, sorted, is looked up among the types of the level below;
-    # one that is not a stable type keeps its own key, which validate
-    # reports as a dangling face id
+    # one that is not a stable type keeps its own key and is reported as a
+    # dangling face id
+    violations: list[Violation] = []
     below: dict[tuple, str] = {}
+    lower: tuple[list, list] = ([], [])
     cells = []
     for k, types in enumerate(levels):
-        names = [point_str(p) for p in comps_by_level[k]]
+        comps = comps_by_level[k]
+        names = [point_str(p) for p in comps]
         prefix = f"c{k + 1}:"
-        # vertices have no facet slots
-        tables, targets = collapse_tables(model, k + 1, roles, orientation) if k else ([], [])
+        tables, targets = [], []  # vertices have no facet slots
+        if k:
+            tables, targets = collapse_tables(model, k + 1, roles, orientation)
+            size = len(comps_by_level[k - 1])
+            violations += table_violations(comps, size, (tables, targets), lower)
+            lower = tables, targets
         slots = [(table, (-1) ** i) for i, table in enumerate(tables)]
         keys = {}
         for indices in types:
+            label = " + ".join([names[j] for j in indices])
+            key = keys[indices] = prefix + label
             faces = []
             for table, sign in slots:
                 facet = tuple(sorted([table[j] for j in indices]))
-                key = below.get(facet) or type_key(k, sorted(targets[j] for j in facet))
-                faces.append((key, sign))
-            label = " + ".join([names[j] for j in indices])
-            key = keys[indices] = prefix + label
+                face = below.get(facet)
+                if face is None:
+                    face = type_key(k, sorted(targets[j] for j in facet))
+                    violations.append(Violation("dangling face id", key, face))
+                faces.append((face, sign))
             cells.append(Cell(key, k, label, tuple(faces)))
         below = keys
-    K = DeltaComplex(cells)
-    problems = validate(K)
-    if problems:
+    if violations:
         raise EnumerationMismatch(
-            "complex failed validation", {"violations": [str(p) for p in problems]}
+            "complex failed its build checks", {"violations": [str(v) for v in violations]}
         )
+    K = DeltaComplex(cells)
     return K, breakdowns
 
 

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from degex import charts, dumps, hilb
+from degex import charts, cli, dumps, expansion, hilb
 from degex.charts import ChartPoint
-from degex.cli import run
+from degex.cli import DEFAULT_TAUS, run
 from degex.expansion import GluingReport, get_assignment
 from degex.models import quartic_model
 from degex.projectivity import builtin_certificates
@@ -507,6 +507,48 @@ def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
     for name in ("pi_quartic.json", "tetra.dot"):
         digests[name] = sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digests == README_SHA256
+
+
+def test_one_parser_serves_every_run_in_a_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assignment = {"triangles": assignment_to_json_obj(get_assignment(quartic_model(), "default"))}
+    (tmp_path / "my_assignment.json").write_text(json.dumps(assignment))
+    lines = [line for line in README.read_text().splitlines() if line.startswith("degex ")]
+
+    def sweep():
+        outcomes = []
+        for line in lines:
+            outcomes.append((run(line.partition("#")[0].split()[1:]), capsys.readouterr().out))
+        for name in ("pi_quartic.json", "tetra.dot"):
+            outcomes.append((tmp_path / name).read_bytes())
+        return outcomes
+
+    first = sweep()
+    parser = cli._parser
+    assert run(["hilb", "count", "quartic", "--m", "3"]) == 2
+    assert capsys.readouterr().out == ""
+    assert sweep() == first
+    assert cli._parser is parser
+    # a parsed value does not become the next run's default
+    assert run(["certify-projectivity", "--tau", "1/3"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["tau"] == ["1/3"]
+    assert run(["certify-projectivity"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["tau"] == list(DEFAULT_TAUS)
+
+
+def test_expand_fails_when_the_euler_characteristic_is_not_2(monkeypatch, capsys):
+    code, passing = invoke(["expand", "quartic", "--n", "1"], capsys)
+    assert code == 0
+    f_vector = expansion.f_vector
+    # one 2-cell too many, as a broken subdivision could count it
+    monkeypatch.setattr(expansion, "f_vector", lambda K: (*f_vector(K)[:-1], f_vector(K)[-1] + 1))
+    code, report = invoke(["expand", "quartic", "--n", "1"], capsys)
+    assert code == 1
+    assert report["status"] == "fail"
+    expanded = passing["results"]["expanded"]
+    expanded["f_vector"][-1] += 1
+    expanded["euler_characteristic"] = 3
+    assert report["results"] == passing["results"]
 
 
 # sha256 of the largest report and export as `json.dumps(indent=2,

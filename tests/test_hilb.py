@@ -223,6 +223,72 @@ def test_facet_outside_the_stable_types_is_a_dangling_face(monkeypatch):
     )
 
 
+def test_a_collapse_outside_the_components_names_its_slot(monkeypatch):
+    collapse_point = hilb.collapse_point
+
+    def leaky(p, i, c, roles, orientation):
+        if (p, i, c) == (("E", ("Y1", "Y2"), 1), 2, 2):
+            return ("E", ("Y1", "Y2"), 1)
+        return collapse_point(p, i, c, roles, orientation)
+
+    monkeypatch.setattr(hilb, "collapse_point", leaky)
+    with pytest.raises(EnumerationMismatch) as exc:
+        build_pi(quartic_model(), m=2)
+    assert "collapse outside the components at c2:E[Y1|Y2]@1: slot 2 gives E[Y1|Y2]@1" in (
+        exc.value.diff["violations"]
+    )
+
+
+def far_end(p, i, c, roles, orientation):
+    """collapse_point with every edge read from its far end."""
+    far = {e: e[1] if e[0] == dist else e[0] for e, dist in orientation.items()}
+    return collapse_point(p, i, c, roles, far)
+
+
+def swapped_roles(p, i, c, roles, orientation):
+    """collapse_point with the S-T and F-T edges of every triangle swapped."""
+    swapped = {t: {**r, "ST": r["FT"], "FT": r["ST"]} for t, r in roles.items()}
+    return collapse_point(p, i, c, swapped, orientation)
+
+
+@pytest.mark.parametrize(
+    "model, broken, failures, cell, images",
+    [
+        ("quartic", far_end, 36, "c3:B[Y1|Y2|Y3]@1,2", "d_1 d_2 gives Y1, d_1 d_1 gives Y3"),
+        ("quartic", swapped_roles, 36, "c3:B[Y1|Y2|Y3]@1,2", "d_1 d_2 gives Y2, d_1 d_1 gives Y3"),
+        ("cube", far_end, 72, "c3:B[Y1|Y3|Y5]@1,2", "d_1 d_2 gives Y1, d_1 d_1 gives Y5"),
+        ("cube", swapped_roles, 72, "c3:B[Y1|Y3|Y5]@1,2", "d_1 d_2 gives Y3, d_1 d_1 gives Y5"),
+    ],
+    ids=["quartic-far-end", "quartic-swapped-roles", "cube-far-end", "cube-swapped-roles"],
+)
+def test_a_broken_collapse_map_fails_the_simplicial_identities(
+    monkeypatch, model, broken, failures, cell, images
+):
+    # every facet is still a stable type, so only the identities catch these
+    monkeypatch.setattr(hilb, "collapse_point", broken)
+    with pytest.raises(EnumerationMismatch) as exc:
+        build_pi(get_model(model), m=2)
+    violations = exc.value.diff["violations"]
+    assert len(violations) == failures
+    assert all(v.startswith("simplicial identity fails at c") for v in violations)
+    assert violations[0] == f"simplicial identity fails at {cell}: slots (1, 2): {images}"
+    # and the complex built without the identity check fails validate
+    monkeypatch.setattr(hilb, "table_violations", lambda *args: [])
+    K, _ = build_pi(get_model(model), m=2)
+    assert any(v.kind == "composed boundary nonzero" for v in validate(K))
+
+
+@pytest.mark.parametrize(
+    "model, m",
+    [("quartic", 1), ("quartic", 2), ("quartic", 3), ("cube", 1), ("cube", 2), ("cube", 3)],
+)
+def test_validate_accepts_every_built_pi(model, m):
+    # build_pi checks its collapse tables and facet lookups, not the built
+    # cells; validate walks every cell's composed boundary, as the oracle
+    K, _ = build_pi(get_model(model), m)
+    assert validate(K) == []
+
+
 @pytest.mark.parametrize(
     "model, m", [("quartic", 1), ("quartic", 2), ("quartic", 3), ("cube", 1), ("cube", 2)]
 )
