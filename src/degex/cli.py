@@ -13,9 +13,9 @@ the report's command and inputs are the parsed arguments, so the parser is
 the one owner of each command's argument list.  A census mismatch fails
 (exit 1) every command that builds the Hilbert-square complex, with an
 `internal_inconsistency` report in place of its results.  `expand` fails
-unless the expansion glues, passes the torus check and has the sphere's
-Euler characteristic 2.  One parser, built by the first `run`, serves every
-later run in the process.
+unless the expansion glues, passes the torus check, has the sphere's Euler
+characteristic 2 and has the f-vector `expansion.f_vector_target` predicts.
+One parser, built by the first `run`, serves every later run in the process.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .expansion import (
     check_gluing,
     check_torus_compatibility,
     expanded_complex_report,
+    f_vector_target,
     get_assignment,
     subdivide,
 )
@@ -52,8 +53,8 @@ EXIT_FLAGGED = 3
 _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "flagged": EXIT_FLAGGED}
 
 # per doubling of n, `expand` makes 4x the cells in 3-4x the time and 3x the
-# memory (`expand cube --n 64 --assignment labeling`: 0.93-1.04 s over 5 runs
-# and 121 MB peak RSS, on one CPU of a 2-core x86 host), and `charts verify`
+# memory (`expand cube --n 64 --assignment labeling`: 0.74-1.07 s over 10 runs
+# and 119 MB peak RSS, on one CPU of a 2-core x86 host), and `charts verify`
 # with its default 1000 samples takes 0.6 s at n = 64 on one CPU of that
 # host, so deeper ones are refused up front
 MAX_DEPTH = 64
@@ -154,6 +155,7 @@ def cmd_expand(args) -> tuple[dict, str]:
     results = {"expanded": expanded, "gluing": gluing.to_json_obj(), "torus": torus.to_json_obj()}
     # the expansion subdivides the model's sphere, so its Euler characteristic is 2
     ok = gluing.glues and torus.compatible and expanded["euler_characteristic"] == 2
+    ok = ok and expanded["f_vector"] == list(f_vector_target(model, args.n))
     return results, "pass" if ok else "fail"
 
 

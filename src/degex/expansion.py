@@ -19,20 +19,17 @@ Realization is combinatorial.  Each side of an edge, that is the edge as
 one adjacent triangle sees it, reads the edge in one direction: forward
 from its first endpoint u when that is the side's distinguished endpoint
 (`edge_sides`), backward otherwise.  Level k sits at P_k from where the
-side reads the edge, levels 0 and n+1 being the endpoints.
-`edge_orientation` is the one owner of gluing agreement.  `subdivide` works
-out, once per call, a layout for each set of directions an edge's sides can
-take (forward, backward, or both): the interior positions from u, each
-direction's level indices into the edge's points, and the segment lengths.
-Each edge keeps one `EdgeLine`, which stores each side's level indices
-once, and the rest derives from them: the distinguished endpoint is where
-level 0 sits, a node's levels are their inverse, and segment t_l runs from
-level l-1 to level l.  A node that only the neighbouring triangle places
-on a shared edge is a foreign point and sits between two consecutive
-levels.  Foreign points occur only where the two sides of an edge
-disagree on its distinguished endpoint, that is for assignments that do
-not glue, and not even there when the positions are symmetric under
-P -> 1 - P.  Grid point (a, b), 0 <= a <= b <= n+1, is where the level-a
+side reads the edge, levels 0 and n+1 being the endpoints.  Each edge
+keeps one `EdgeLine`, at depth 0 too, which stores each side's level
+indices once, laid out once per call for each set of directions
+(`_edge_layout`), and the rest derives from them: the distinguished
+endpoint is where level 0 sits, a node's levels are their inverse, and
+segment t_l runs from level l-1 to level l.  A node that only the
+neighbouring triangle places on a shared edge is a foreign point and sits
+between two consecutive levels.  Foreign points occur only where the two
+sides of an edge disagree on its distinguished endpoint, that is for
+assignments that do not glue, and not even there when the positions are
+symmetric under P -> 1 - P.  Grid point (a, b), 0 <= a <= b <= n+1, is where the level-a
 chord parallel to S-T meets the level-b chord parallel to F-T (levels 0
 and n+1 being the sides themselves).  `grid_side` is the one classifier
 of grid points, used by `subdivide` and by the Hilbert-square face maps:
@@ -49,12 +46,11 @@ these cycles lie on base edges: (i, n+1) -> (i+1, n+1) on F-T when j = n,
 (i+1, i+1) -> (i, i) on F-S when i = j, and (0, j) -> (0, j+1) on S-T when
 i = 0; the foreign points are inserted along those.  Each cycle is star
 triangulated from an auxiliary center vertex, which preserves the
-closed-surface invariants, and is then dropped: the report counts the
-(n+1)(n+2)/2 regions of each triangle.  The 1-cells are the sides of the
-region cycles (chord pieces and atomic segments of the base edges) and the
-spokes to the centers.  A region makes its spokes once, since no other
-region meets them, and each of its triangles from two spokes and one
-lookup of its cycle side.
+closed-surface invariants, and is then dropped.  The 1-cells are the
+sides of the region cycles (chord pieces and atomic segments of the base
+edges) and the spokes to the centers.  A region makes its spokes once,
+since no other region meets them, and each of its triangles from two
+spokes and one lookup of its cycle side.
 """
 from __future__ import annotations
 
@@ -65,11 +61,6 @@ from .complexes import Cell, DeltaComplex, euler_of_counts, f_vector
 from .models import SurfaceModel, edge_key, find_3_labeling
 
 Pair = tuple[str, str]
-
-
-def color_name(symbol_index: int) -> str:
-    """Historic two-parameter color names; higher symbols keep plain names."""
-    return {1: "green", 2: "pink"}.get(symbol_index, f"t{symbol_index}")
 
 
 class BlowupAssignment:
@@ -206,14 +197,18 @@ def assignment_from_json_obj(model: SurfaceModel, obj) -> BlowupAssignment:
 
 
 class EdgeLine(NamedTuple):
-    """A base edge as the subdivision places points on it, from its first
-    endpoint u.  A side's level 0 sits at its distinguished endpoint, and
-    each node's levels and each side's symbols derive from `sides`."""
+    """A base edge (u, v) as the subdivision places points on it, from its
+    first endpoint u.  A side's level 0 sits at its distinguished endpoint,
+    and each node's levels and each side's symbols derive from `sides`."""
 
     ids: list[str]  # vertex ids of the edge's points, in order from u
     names: list[str]  # the interior points' positions from u, as strings
-    segments: list[tuple[str, str]]  # (1-cell id, length) of each atomic segment
     sides: dict  # triangle key -> index among `ids` of each level 0..n+1
+
+    def endpoint(self, tri) -> int:
+        """The index in (u, v) of the distinguished endpoint of `tri`'s side,
+        where its level 0 sits."""
+        return 0 if self.sides[tri][0] == 0 else 1
 
     def node_levels(self) -> list[dict]:
         """{triangle: level} of each interior point, in order from u, over
@@ -229,7 +224,7 @@ class EdgeLine(NamedTuple):
         of `tri` reads it: segment t_l runs from level l-1 to level l, across
         any foreign points between them."""
         at = self.sides[tri]
-        symbols = [0] * len(self.segments)
+        symbols = [0] * (len(self.ids) - 1)
         for l in range(1, len(at)):
             lo, hi = sorted(at[l - 1 : l + 1])
             symbols[lo:hi] = [l] * (hi - lo)
@@ -264,7 +259,7 @@ class ExpandedComplex(NamedTuple):
     level: int
     positions: tuple[Fraction, ...]
     cells: DeltaComplex
-    lines: dict  # edge -> EdgeLine; empty at depth 0
+    lines: dict  # edge -> EdgeLine
     boxes: list[CornerBox]
 
 
@@ -291,17 +286,26 @@ def _edge_layout(P: tuple[Fraction, ...], directions) -> tuple:
     """The points of an edge whose sides read it in `directions` (True for
     forward, from the edge's first endpoint u; False for backward), as
     (the interior positions from u as strings, {direction: index among the
-    edge's points of each level 0..n+1}, the length of each atomic
-    segment).  Level k of a direction sits at P_k from where it reads the
-    edge."""
+    edge's points of each level 0..n+1}).  Level k of a direction sits at
+    P_k from where it reads the edge."""
     ladder = (Fraction(0), *P, Fraction(1))
     ladders = {True: ladder, False: tuple(1 - pos for pos in ladder)}
     interior = sorted({ladders[d][k] for d in directions for k in range(1, len(P) + 1)})
     points = [Fraction(0), *interior, Fraction(1)]
     index = {pos: i for i, pos in enumerate(points)}
     at = {d: tuple(index[pos] for pos in ladders[d]) for d in directions}
-    lengths = [str(b - a) for a, b in zip(points, points[1:])]
-    return [str(pos) for pos in interior], at, lengths
+    return [str(pos) for pos in interior], at
+
+
+def f_vector_target(model: SurfaceModel, n: int) -> tuple[int, ...]:
+    """The f-vector of a gluing expansion at depth n, the model's own at
+    n = 0: a triangle's n+1 triangle regions give 3 pieces each and its
+    n(n+1)/2 quadrilaterals 4, and a sphere of f2 triangles has 3 f2 / 2
+    edges and 2 + f2 / 2 vertices.  Foreign points add to every count."""
+    if n == 0:
+        return f_vector(model.sphere)
+    f2 = len(model.triangles) * (n + 1) * (2 * n + 3)
+    return 2 + f2 // 2, 3 * f2 // 2, f2
 
 
 def subdivide(
@@ -312,16 +316,33 @@ def subdivide(
 ) -> ExpandedComplex:
     """Apply n levels of subdivision to every triangle of the model.
 
-    For n = 0 the model's own complex is returned unchanged.  Shared edge
-    points are identified by position, so the construction is defined even
-    for assignments that do not glue; check_gluing reports those.
+    For n = 0 the model's own complex is returned unchanged, with a line of
+    two points on every edge.  Shared edge points are identified by
+    position, so the construction is defined even for assignments that do
+    not glue; check_gluing reports those.
     """
     assignment.validate_for(model)
     if n < 0:
         raise ValueError("subdivision depth must be nonnegative")
     P = default_positions(n) if positions is None else _check_positions(n, positions)
+
+    # ---- one layout per set of side directions -----------------------------
+    # a side reads its edge forward when its distinguished endpoint is the
+    # edge's first endpoint u, backward otherwise; an edge reads the layout of
+    # the directions its sides take, and each side its direction's levels
+    layouts: dict = {}
+    lines: dict = {}
+    for e, sides in sorted(edge_sides(model, assignment).items()):
+        u, v = e
+        forward = {tri: dist == u for tri, dist in sides.items()}
+        pattern = frozenset(forward.values())
+        if pattern not in layouts:
+            layouts[pattern] = _edge_layout(P, pattern)
+        names, at = layouts[pattern]
+        ids = [_vid(u), *(f"x:{u}|{v}@{name}" for name in names), _vid(v)]
+        lines[e] = EdgeLine(ids, names, {tri: at[d] for tri, d in forward.items()})
     if n == 0:
-        return ExpandedComplex(model, assignment, 0, P, model.sphere, {}, [])
+        return ExpandedComplex(model, assignment, 0, P, model.sphere, lines, [])
 
     # a list, so that DeltaComplex refuses an id made twice; the labels of
     # the vertices are kept apart, for the labels of the edges
@@ -345,28 +366,11 @@ def subdivide(
 
     for v in model.vertices:
         vertex(_vid(v), v)
-
-    # ---- one layout per set of side directions -----------------------------
-    # a side reads its edge forward when its distinguished endpoint is the
-    # edge's first endpoint u, backward otherwise; an edge reads the layout of
-    # the directions its sides take, and each side its direction's levels
-    layouts: dict = {}
-    lines: dict = {}
-    for e, sides in sorted(edge_sides(model, assignment).items()):
-        u, v = e
-        forward = {tri: dist == u for tri, dist in sides.items()}
-        pattern = frozenset(forward.values())
-        if pattern not in layouts:
-            layouts[pattern] = _edge_layout(P, pattern)
-        names, at, lengths = layouts[pattern]
-        ids = [_vid(u)]
-        for name in names:
-            nid = f"x:{u}|{v}@{name}"
+    for (u, v), line in lines.items():
+        for nid, name in zip(line.ids[1:-1], line.names):
             vertex(nid, f"{u}-{v} node at {name}")
-            ids.append(nid)
-        ids.append(_vid(v))
-        segments = [(pair_cell(a, b), length) for a, b, length in zip(ids, ids[1:], lengths)]
-        lines[e] = EdgeLine(ids, names, segments, {tri: at[d] for tri, d in forward.items()})
+        for a, b in zip(line.ids, line.ids[1:]):
+            pair_cell(a, b)
 
     # ---- one walk of each triangle's level grid ----------------------------
     boxes = []
@@ -447,16 +451,18 @@ def subdivide(
 
 
 def check_gluing(E: ExpandedComplex) -> GluingReport:
-    """Compare induced node positions and colored symbol sequences across
+    """Compare induced node positions, levels and segment symbols across
     each edge.
 
     Both sides must place their nodes at the same positions with the same
-    levels and must color the resulting segments with the same symbol
-    sequence; a node at a matching position with mismatched colors is still
-    a failure.  A side's levels sit at the points `EdgeLine.sides` gives
-    it, and its symbols follow from them, so the sides agree exactly when
-    those level indices do.  The report is assembled in sorted edge order,
-    so it is independent of any triangle processing order.
+    levels and must give the resulting segments the same symbol sequence; a
+    node at a matching position with mismatched symbols is still a failure.
+    A side's levels sit at the points `EdgeLine.sides` gives it, and its
+    symbols follow from them, so the sides agree exactly when those level
+    indices do, that is when they read the edge from the same endpoint.  At
+    depth 0 an edge has no node and one segment, so only that endpoint is
+    compared.  The report is assembled in sorted edge order, so it is
+    independent of any triangle processing order.
     """
     failures = []
     for e, line in sorted(E.lines.items()):
@@ -472,7 +478,7 @@ def check_gluing(E: ExpandedComplex) -> GluingReport:
                                 for i, k in sorted(zip(at[1:-1], range(1, len(at) - 1)))
                             ],
                             "symbols": line.symbols(t),
-                            "distinguished_endpoint": e[0] if at[0] == 0 else e[1],
+                            "distinguished_endpoint": e[line.endpoint(t)],
                         }
                         for t, at in sorted(line.sides.items())
                     ],
@@ -490,9 +496,11 @@ def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
     one side places gets no arrow from the other, whose torus moves it
     along its segment, a conflict of its own kind; so the check passes
     exactly when the sides of every edge agree, that is when the assignment
-    glues.  The owning triangle always agrees with its own arrow at a chord
-    endpoint, so a chord can only disagree where a node does: chords need no
-    check of their own.
+    glues, at every depth n >= 1.  At depth 0 there is no node to compare,
+    so the check passes and only the gluing check can refuse.  The owning
+    triangle always agrees with its own arrow at a chord endpoint, so a
+    chord can only disagree where a node does: chords need no check of
+    their own.
     """
     nodes = [
         (nid, levels, line)
@@ -518,38 +526,22 @@ def check_torus_compatibility(E: ExpandedComplex) -> TorusReport:
 
 
 def expanded_complex_report(E: ExpandedComplex) -> dict:
+    """The expansion's counts and its orientation, the distinguished endpoint
+    of every edge whose sides agree on it: each fact once.  Each side's
+    reading of an edge whose sides differ is in the gluing failures."""
     counts = list(f_vector(E.cells))
-    lines = sorted(E.lines.items())
-    edge_nodes = [
-        {
-            "edge": list(e),
-            "position": name,
-            "levels": {"|".join(t): k for t, k in levels.items()},
-        }
-        for e, line in lines
-        for name, levels in zip(line.names, line.node_levels())
-    ]
-    regions = (E.level + 1) * (E.level + 2) // 2
+    orientation = {}
+    for (u, v), line in sorted(E.lines.items()):
+        ends = {line.endpoint(t) for t in line.sides}
+        if len(ends) == 1:
+            orientation[f"{u}-{v}"] = (u, v)[ends.pop()]
     return {
         "model": E.model.name,
         "level": E.level,
         "positions": [str(p) for p in E.positions],
         "f_vector": counts,
         "euler_characteristic": euler_of_counts(counts),
-        "edge_nodes": edge_nodes,
-        "boxes": [
-            {"triangle": list(b.triangle), "levels": list(b.levels)} for b in E.boxes
-        ],
-        "exceptional_vertex_count": len(edge_nodes) + len(E.boxes),
-        "regions_per_triangle": {"-".join(t): regions for t in E.model.triangles},
-        "colored_segments": {
-            f"{e[0]}-{e[1]}": {
-                "|".join(t): [
-                    {"segment": sid, "symbol": k, "color": color_name(k), "length": length}
-                    for (sid, length), k in zip(line.segments, line.symbols(t))
-                ]
-                for t in sorted(line.sides)
-            }
-            for e, line in lines
-        },
+        "orientation": orientation,
+        "exceptional_vertex_count": len(E.boxes)
+        + sum(len(line.names) for line in E.lines.values()),
     }

@@ -58,7 +58,8 @@ from .complexes import (
     f_vector,
     h1_torsion,
 )
-from .expansion import BlowupAssignment, edge_orientation, edge_roles, get_assignment, grid_side
+from .expansion import BlowupAssignment, assignment_from_order, edge_orientation, edge_roles
+from .expansion import get_assignment, grid_side
 from .models import SurfaceModel, get_model
 
 # f-vector of the known 10-vertex simplicial triangulation of CP^2; the
@@ -75,8 +76,12 @@ INDEX_CONVENTION_NOTE = (
 
 
 def builtin_assignment(model: SurfaceModel) -> BlowupAssignment:
-    """The gluing assignment the complex is built with."""
-    return get_assignment(model, "default" if model.name == "quartic" else "labeling")
+    """The gluing assignment the complex is built with: the quartic's own, a
+    3-labeling's, or else the sorted vertex order, which glues too."""
+    try:
+        return get_assignment(model, "default" if model.name == "quartic" else "labeling")
+    except ValueError:  # no 3-labeling
+        return assignment_from_order(model, sorted(model.vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
@@ -25,11 +26,11 @@ README_SHA256 = {
     "degex model quartic": "5720b415be7dfd8709f56ed65021528f7d428aa75f4d2bbb7d615a0b742acb4c",
     "degex label3 cube": "a44e6df44b0eb2ab3ba403ca4529412006ac7c671ba6636974a5be0ed020c880",
     "degex expand quartic --n 1 --assignment default":
-        "9b33287da8851733993d794a2c35f4709b3253224f3a62b9be27e7452f14f18c",
+        "44a91c24266450734cee1ff21ab68835ce7bef03fadeded38a56f8cebe6b1054",
     "degex expand quartic --n 2 --assignment @my_assignment.json --params 1/3,2/3":
-        "8bfa6e5e89278c4a89baffd067e7b0a9d1b3c1c244edad2e8a037762aa952ce1",
+        "bf7a4d6ce9a36b15886845a13fab0463841aebc9ace792e4e7f0549d77288b1b",
     "degex expand cube --n 1 --assignment labeling":
-        "6c39d56277208adbcba738488e16e977e7c20b194924e58e8df73806850b0608",
+        "edb853a17a5e1932e4d5774d7501d3d242c3f43a4b7e24a004a9ead843c66f5d",
     "degex certify-projectivity --tau 1/2 --all-edges":
         "3e87d1d63f8203c0344d36575d78fa2a19375c37718990736883bcd8be6d558f",
     "degex charts verify --n 2 --samples 1000 --seed 7":
@@ -109,11 +110,12 @@ def test_expand_reports_nodes_one_side_places_as_torus_conflicts(
     assert code == 1
     results = report["results"]
     assert len(results["gluing"]["failures"]) == 2
-    nodes = {
-        node["edge"][0] + "|" + node["edge"][1] + "@" + node["position"]
-        for node in results["expanded"]["edge_nodes"]
-        if len(node["levels"]) == 1
-    }
+    # the nodes of a failing edge that only one of its sides lists
+    nodes = set()
+    for failure in results["gluing"]["failures"]:
+        u, v = failure["edge"]
+        placed = Counter(node["position"] for side in failure["sides"] for node in side["nodes"])
+        nodes |= {f"{u}|{v}@{position}" for position, sides in placed.items() if sides == 1}
     assert len(nodes) == one_sided
     torus = results["torus"]
     assert torus["compatible"] is False
@@ -121,6 +123,40 @@ def test_expand_reports_nodes_one_side_places_as_torus_conflicts(
     for conflict in torus["conflicts"]:
         assert conflict["kind"] == "node placed by one side"
         assert sorted(len(side["arrows"]) for side in conflict["sides"]) == [0, 1]
+
+
+def test_expand_refuses_a_non_gluing_assignment_at_depth_0(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"triangles": assignment_to_json_obj(bad_quartic_assignment())}))
+    code, report = invoke(["expand", "quartic", "--n", "0", "--assignment", f"@{path}"], capsys)
+    assert code == 1
+    results = report["results"]
+    assert [f["edge"] for f in results["gluing"]["failures"]] == [["Y1", "Y4"], ["Y2", "Y3"]]
+    # the edges whose sides agree keep their orientation; the torus check
+    # has no node to compare at depth 0
+    assert sorted(results["expanded"]["orientation"]) == ["Y1-Y2", "Y1-Y3", "Y2-Y4", "Y3-Y4"]
+    assert results["torus"]["compatible"]
+
+
+def test_expand_fails_a_gluing_build_that_misses_the_f_vector_target(monkeypatch, capsys):
+    # one point more on every edge, next to its first endpoint, that no side's
+    # levels name: the sides still agree, the torus check sees no arrow on it
+    # and the Euler characteristic stays 2, so only the f-vector target fails
+    layout = expansion._edge_layout
+
+    def with_a_foreign_point(P, directions):
+        names, at = layout(P, directions)
+        first = Fraction(names[0]) if names else Fraction(1)
+        shifted = {d: tuple(i + 1 if i else 0 for i in levels) for d, levels in at.items()}
+        return [str(first / 2), *names], shifted
+
+    monkeypatch.setattr(expansion, "_edge_layout", with_a_foreign_point)
+    code, report = invoke(["expand", "quartic", "--n", "1"], capsys)
+    results = report["results"]
+    assert results["gluing"]["glues"] and results["torus"]["compatible"]
+    assert results["expanded"]["euler_characteristic"] == 2
+    assert results["expanded"]["f_vector"] == [28, 78, 52]
+    assert code == 1
 
 
 def test_expand_cube_labeling(capsys):
@@ -556,7 +592,7 @@ def test_expand_fails_when_the_euler_characteristic_is_not_2(monkeypatch, capsys
 # and the quartic export
 BIG_OUTPUT_SHA256 = {
     "expand cube --n 24 --assignment labeling":
-        "90667a225b7f7ab002f083ed7a9f9f2911471298cc6ae884875bd6583e6dc935",
+        "4f271a1aa3d1458468f7b7c004d790d49e16bf14a1fff343a065a8a21e846837",
     "export pi-cube --format json -o pi_cube.json":
         "be85733247e72153ca5492ecc90c74961a8a8ac78bbe7ea00c4fe89d7cbcb97a",
     "pi_cube.json": "2e83f80e3a7820908845abc2cff78a5ac8725ec4267b2736a8e909d5c71ece9e",
@@ -568,7 +604,10 @@ def test_the_largest_report_and_export_are_byte_identical(tmp_path, monkeypatch,
     digests = {}
     for command in list(BIG_OUTPUT_SHA256)[:2]:
         assert run(command.split()) == 0
-        digests[command] = sha256(capsys.readouterr().out.encode()).hexdigest()
+        out = capsys.readouterr().out
+        digests[command] = sha256(out.encode()).hexdigest()
+        if command.startswith("expand"):
+            assert len(out) < 2048
     digests["pi_cube.json"] = sha256((tmp_path / "pi_cube.json").read_bytes()).hexdigest()
     assert digests == BIG_OUTPUT_SHA256
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations, product
@@ -6,14 +7,23 @@ from itertools import permutations, product
 import pytest
 
 from degex import dumps
-from degex.complexes import betti_numbers, euler_characteristic, h1_torsion, to_json, validate
+from degex.complexes import (
+    betti_numbers,
+    euler_characteristic,
+    f_vector,
+    h1_torsion,
+    to_json,
+    validate,
+)
 from degex.expansion import (
     BlowupAssignment,
     assignment_from_order,
     check_gluing,
     check_torus_compatibility,
+    edge_orientation,
     edge_roles,
     expanded_complex_report,
+    f_vector_target,
     get_assignment,
     subdivide,
 )
@@ -39,6 +49,21 @@ def edge_nodes(E) -> list:
         for e, line in sorted(E.lines.items())
         for name, nid, levels in zip(line.names, line.ids[1:-1], line.node_levels())
     ]
+
+
+def regions_per_triangle(E) -> dict:
+    """{triangle key: number of grid regions}, counted from the centre
+    vertex that each region's star triangulation adds."""
+    return Counter(
+        c.id[2:].split("#")[0] for c in E.cells.cells_of_dim(0) if c.id.startswith("c:")
+    )
+
+
+def segment_lengths(line) -> list[Fraction]:
+    """The length of each atomic segment of an edge line, in order from its
+    first endpoint."""
+    points = [Fraction(0), *map(Fraction, line.names), Fraction(1)]
+    return [b - a for a, b in zip(points, points[1:])]
 
 
 def assert_levels_follow_their_definition(E):
@@ -68,11 +93,10 @@ def assert_levels_follow_their_definition(E):
             for vid, k in levels.items():
                 assert from_dist(vid) == P[k]
             line = E.lines[e]
-            segments = list(zip(line.segments, line.symbols(tri)))
-            assert len(segments) == len(at) - 1
-            for (sid, _), symbol in segments:
-                ends = [fid for fid, _ in E.cells[sid].faces]
-                near = min(from_dist(vid) for vid in ends)
+            symbols = line.symbols(tri)
+            assert len(symbols) == len(at) - 1
+            for a, b, symbol in zip(line.ids, line.ids[1:], symbols):
+                near = min(from_dist(a), from_dist(b))
                 assert symbol == sum(1 for p in P if p <= near)
 
 
@@ -85,16 +109,16 @@ def assert_matches_the_node_census(E):
         for e, (nodes, _) in census.items()
         for pos, nid, levels in nodes
     ]
+    one_cells = {frozenset(fid for fid, _ in c.faces) for c in E.cells.cells_of_dim(1)}
     for e, (nodes, segments) in census.items():
         points = [f"v:{e[0]}", *(nid for _, nid, _ in nodes), f"v:{e[1]}"]
         line = E.lines[e]
+        assert line.ids == points
         assert list(line.sides) == list(segments)
         for tri, expected in segments.items():
-            assert [
-                (k, length) for k, (_, length) in zip(line.symbols(tri), line.segments)
-            ] == [(k, str(length)) for k, length in expected]
-            for (sid, _), a, b in zip(line.segments, points, points[1:]):
-                assert {fid for fid, _ in E.cells[sid].faces} == {a, b}
+            assert list(zip(line.symbols(tri), segment_lengths(line))) == expected
+        # every atomic segment is a 1-cell of the expansion
+        assert all(frozenset(pair) in one_cells for pair in zip(points, points[1:]))
 
 
 def test_default_assignment_pairs():
@@ -111,13 +135,40 @@ def test_subdivide_n0_returns_model():
     assert expanded_complex_report(E)["exceptional_vertex_count"] == 0
 
 
+def test_depth_0_has_a_line_on_every_edge_of_the_sphere():
+    # two points on each of the sphere's own edges, each side reading the
+    # edge from its distinguished endpoint, so at depth 0 the gluing check
+    # refuses what edge_orientation refuses
+    m = quartic_model()
+    bad = bad_quartic_assignment()
+    for assignment, failing in (
+        (get_assignment(m, "default"), set()),
+        (bad, {("Y1", "Y4"), ("Y2", "Y3")}),
+    ):
+        E = subdivide(m, assignment, 0)
+        assert E.cells is m.sphere
+        assert sorted(E.lines) == sorted(m.edges)
+        for tri in m.triangles:
+            for e, dist in edge_roles(assignment, tri).values():
+                line = E.lines[e]
+                assert line.ids == [f"v:{e[0]}", f"v:{e[1]}"] and line.names == []
+                assert f"e:{e[0]}|{e[1]}" in E.cells
+                assert e[line.endpoint(tri)] == dist
+                assert line.symbols(tri) == [1]
+        assert {tuple(f["edge"]) for f in check_gluing(E).failures} == failing
+        # no node to compare, so the torus check passes either way
+        assert check_torus_compatibility(E).compatible
+    with pytest.raises(ValueError, match="does not glue"):
+        edge_orientation(m, bad)
+
+
 def test_quartic_n1_census():
     m = quartic_model()
     E = subdivide(m, get_assignment(m, "default"), 1)
     # one glued node per tetrahedron edge; each triangle cut into 3 regions
     assert len(edge_nodes(E)) == 6
     assert len(E.boxes) == 0
-    assert set(expanded_complex_report(E)["regions_per_triangle"].values()) == {3}
+    assert regions_per_triangle(E) == {"|".join(t): 3 for t in m.triangles}
     assert validate(E.cells) == []
     assert euler_characteristic(E.cells) == 2
     assert closed_surface(E.cells)
@@ -131,7 +182,7 @@ def test_quartic_n2_census():
     assert len(edge_nodes(E)) == 12
     assert len(E.boxes) == 4
     assert report["exceptional_vertex_count"] == 16
-    assert set(report["regions_per_triangle"].values()) == {6}
+    assert regions_per_triangle(E) == {"|".join(t): 6 for t in m.triangles}
     assert validate(E.cells) == []
     assert euler_characteristic(E.cells) == 2
     assert closed_surface(E.cells)
@@ -190,7 +241,7 @@ def test_cube_labeling_assignment_glues():
     E = subdivide(m, a, 1)
     assert check_gluing(E).glues
     assert len(edge_nodes(E)) == 12
-    assert set(expanded_complex_report(E)["regions_per_triangle"].values()) == {3}
+    assert regions_per_triangle(E) == {"|".join(t): 3 for t in m.triangles}
     assert validate(E.cells) == []
     assert closed_surface(E.cells)
 
@@ -245,22 +296,25 @@ def test_gluing_report_independent_of_processing_order():
     assert r1.failures == r2.failures
 
 
-def test_color_length_bookkeeping_matches_across_sides():
+def test_symbol_and_length_bookkeeping_matches_across_sides():
     m = quartic_model()
     E = subdivide(m, get_assignment(m, "default"), 2, positions=[Fraction(1, 5), Fraction(1, 2)])
     assert check_gluing(E).glues
-    for key, sides in expanded_complex_report(E)["colored_segments"].items():
-        views = [
-            [(s["symbol"], s["length"]) for s in segs] for segs in sides.values()
+    orientation = expanded_complex_report(E)["orientation"]
+    assert len(orientation) == len(m.edges)
+    for e, line in E.lines.items():
+        lengths = segment_lengths(line)
+        assert lengths == [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)] or lengths == [
+            Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)
         ]
+        views = [list(zip(line.symbols(t), lengths)) for t in sorted(line.sides)]
         assert views[0] == views[1]
-        # read from the distinguished endpoint the colors are green, pink, t3
-        tkey = sorted(sides)[0]
-        colors = [s["color"] for s in sides[tkey]]
-        e = tuple(key.split("-"))
-        if dict(edge_roles(E.assignment, tkey.split("|")).values())[e] != e[0]:
-            colors = list(reversed(colors))
-        assert colors == ["green", "pink", "t3"]
+        # read from the distinguished endpoint the symbols are t1, t2, t3
+        tri = sorted(line.sides)[0]
+        dist = dict(edge_roles(E.assignment, tri).values())[e]
+        assert orientation[f"{e[0]}-{e[1]}"] == dist
+        symbols = line.symbols(tri)
+        assert (symbols if dist == e[0] else symbols[::-1]) == [1, 2, 3]
 
 
 def test_torus_compatibility_passes_for_good_assignments():
@@ -387,7 +441,7 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
             None,
             4106,
             "d0eb8cbb7ea0a47a2923a11b574d4777368b285f0c9d0f9237e2a7cef85e7109",
-            "5195ba7a667d2f485b2a35aa97243590c07d3c09e90e965c0f79f9a5f422b6a7",
+            "732f26d925a8b7a2d87e87592836923a5e6bd6f2429ace2644470e98e1e9c97d",
         ),
         # places foreign nodes, so region cycles run across them
         (
@@ -397,7 +451,7 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
             (Fraction(1, 5), Fraction(1, 2)),
             266,
             "2f802ec93a559d6520330a961cd01374301e1d3ec73feb351ed3cfa4afb91d39",
-            "ecb48129d04854c532c0359938ee5c7f1ba0598041d11f998f7c0986679c15f7",
+            "0532ebc63dc8d008e258862e9cb3223eb3d621d4476f43d4e4efb62aa5ff2495",
         ),
         # the two sides of a failing edge share no node
         (
@@ -407,7 +461,7 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
             (Fraction(1, 5), Fraction(1, 3)),
             278,
             "7a07371462968f9cb11d0523f2240f4945a21e5ff7899489fdae33bb6e7a8d3a",
-            "061dd6b5848103f10a0309dda1f99720586313d2b46789dc7a02f64d4494ac09",
+            "259e7246cb7c430aa12de4fe27d615e5f098fc37e2d1aeaace47b6d8b66f8ebb",
         ),
         (
             cube_model(),
@@ -416,7 +470,7 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
             (Fraction(2, 7),),
             242,
             "a85521057c1997130ffc4c505d8c18f817e6d5ae6548d0c520647eab82a82d6c",
-            "2d7b0bbcfa4c913810a099e9fff2ef0f2d4bb0cc9ce1e80c442725d38ff0e858",
+            "2089148893bf437824649a6216f4703fd02a765c925efa5a6d7db32baa2aa1bb",
         ),
         (
             cube_model(),
@@ -425,7 +479,7 @@ def test_foreign_nodes_keep_their_order_along_a_region_side():
             (Fraction(1, 9), Fraction(2, 5), Fraction(5, 6)),
             866,
             "ec9ba5fc47c2779051ddc345a44d6afeafb293796cf3b9fd3dad5c32e8b8ed96",
-            "7707fd3e7c894222c7c80cb27b94f4672af35351768a25f150d4ea75944b0d24",
+            "99e6513d1fa4b633987cc24054a51ff2d53510fe6f826a79611cd0ec46ff9677",
         ),
     ],
 )
@@ -471,9 +525,53 @@ def test_seeded_builds_keep_their_cells_and_reports_byte_identical():
                     dumps(check_torus_compatibility(E).to_json_obj()),
                 ):
                     digest.update(part.encode())
-    # the vertex orders glue, and at n = 0 every assignment does
-    assert glued == 16
-    assert digest.hexdigest() == "fca6d8b2bd8fab5f06c2260b8f2d38ee5b84d74bd76796b573e6c2b1bc8d78dc"
+    # only the vertex orders glue, at depth 0 too
+    assert glued == 12
+    assert digest.hexdigest() == "1f02788df284eb3b58a19300dc6ad3ffcd886adbd98071918678ae9725154ffe"
+
+
+def test_gluing_builds_meet_the_f_vector_target():
+    # F(n+1)(2n+3) triangles: 3 pieces per triangle region and 4 per
+    # quadrilateral; a sphere has 3/2 as many edges and 2 + 1/2 as many vertices
+    q, c = quartic_model(), cube_model()
+    assert [f_vector_target(q, n) for n in range(3)] == [(4, 6, 4), (22, 60, 40), (44, 126, 84)]
+    assert [f_vector_target(c, n) for n in range(2)] == [(6, 12, 8), (42, 120, 80)]
+    rng = random.Random(33)
+    orders = [(q, order) for order in permutations(q.vertices)]
+    orders += [(c, order) for order in rng.sample(list(permutations(c.vertices)), 12)]
+    for m, order in orders:
+        for n in range(4):
+            positions = sorted(Fraction(p, 97) for p in rng.sample(range(1, 97), n))
+            E = subdivide(m, assignment_from_order(m, order), n, positions)
+            assert f_vector(E.cells) == f_vector_target(m, n)
+    # foreign points add cells: a build that does not glue can miss it
+    E = subdivide(q, bad_quartic_assignment(), 2, (Fraction(1, 5), Fraction(1, 3)))
+    assert f_vector(E.cells) == (48, 138, 92)
+
+
+def test_the_report_does_not_grow_with_the_depth():
+    # counts and one orientation: besides the positions, only the digits of
+    # the counts grow with n
+    m = cube_model()
+    a = get_assignment(m, "labeling")
+    reports = [expanded_complex_report(subdivide(m, a, n)) for n in (1, 64)]
+    assert [sorted(r) for r in reports] == [sorted(reports[0])] * 2
+    assert list(reports[0]) == [
+        "model",
+        "level",
+        "positions",
+        "f_vector",
+        "euler_characteristic",
+        "orientation",
+        "exceptional_vertex_count",
+    ]
+    orientation = {f"{u}-{v}": dist for (u, v), dist in edge_orientation(m, a).items()}
+    sizes = []
+    for report in reports:
+        assert report["orientation"] == orientation
+        sizes.append(len(dumps({k: v for k, v in report.items() if k != "positions"})))
+    assert sizes[0] < sizes[1] <= sizes[0] + 20
+    assert reports[1]["f_vector"] == list(f_vector_target(m, 64))
 
 
 def test_sampled_cube_vertex_orders_glue_and_are_torus_compatible():

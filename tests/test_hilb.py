@@ -16,7 +16,7 @@ from degex.complexes import (
     h1_torsion,
     validate,
 )
-from degex.expansion import edge_orientation, edge_roles, subdivide
+from degex.expansion import assignment_from_order, edge_orientation, edge_roles, subdivide
 from degex.hilb import (
     REFERENCE_CP2_10_VERTEX,
     EnumerationMismatch,
@@ -338,8 +338,7 @@ def _chord_coordinates(E) -> dict:
     for tri in E.model.triangles:
         F, S, T = E.assignment.roles(tri)
         cells.update({(tri, (0, 0)): f"v:{S}", (tri, (1, 1)): f"v:{F}", (tri, (0, 1)): f"v:{T}"})
-        # at depth 0 there is no node, and no line
-        for role, (e, dist) in edge_roles(E.assignment, tri).items() if E.lines else ():
+        for role, (e, dist) in edge_roles(E.assignment, tri).items():
             line = E.lines[e]
             for name, nid in zip(line.names, line.ids[1:-1]):
                 p = Fraction(name) if dist == e[0] else 1 - Fraction(name)
@@ -443,6 +442,26 @@ def test_pi_does_not_depend_on_the_order_of_the_input_triangles(model):
         assert [tuple(c) for c in K2.cells()] == [tuple(c) for c in K.cells()]
         assert [b.cases for b in breakdowns2] == [b.cases for b in breakdowns]
         assert rebuilt.triangles == built.triangles
+
+
+def test_a_sphere_without_a_3_labeling_builds_on_its_sorted_vertex_order():
+    # the pentagonal bipyramid: its poles have odd degree 5, so it has no
+    # 3-labeling, and any vertex order glues
+    equator = [f"Q{i}" for i in range(5)]
+    surface = make_surface_model(
+        "bipyramid5",
+        [(equator[i], equator[(i + 1) % 5], pole) for i in range(5) for pole in "NS"],
+    )
+    assert find_3_labeling(surface) is None
+    order = assignment_from_order(surface, sorted(surface.vertices))
+    assert builtin_assignment(surface).pairs == order.pairs
+    K, breakdowns = build_pi(surface)
+    fv = f_vector(K)
+    assert fv == (28, 225, 650, 750, 300)
+    assert list(fv) == [stable_type_count(surface, c, 2) for c in range(1, 6)]
+    assert [b.total() for b in breakdowns] == list(fv)
+    assert validate(K) == []
+    assert betti_numbers(K) == (1, 0, 1, 0, 1)
 
 
 def test_codim5_is_deepest():
