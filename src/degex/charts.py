@@ -268,13 +268,7 @@ def verify_samples(n: int, samples: int, seed: int) -> dict:
             failures.append({"sample": i, "failed_equations": bad})
         if not verify_product_identity(p):
             failures.append({"sample": i, "failed_equations": ["product-identity"]})
-    return {
-        "n": n,
-        "samples": samples,
-        "seed": seed,
-        "pass": not failures,
-        "failures": failures,
-    }
+    return {"pass": not failures, "failures": failures}
 
 
 def verify_torus_pairs(n: int, pairs: int, seed: int) -> dict:
@@ -293,4 +287,4 @@ def verify_torus_pairs(n: int, pairs: int, seed: int) -> dict:
             failures.append({"pair": i, "reason": "base product not invariant"})
         if not _same_point(act(g, act(h, p)), act(g.compose(h), p)):
             failures.append({"pair": i, "reason": "group law violated"})
-    return {"n": n, "pairs": pairs, "pass": not failures, "failures": failures}
+    return {"pass": not failures, "failures": failures}

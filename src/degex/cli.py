@@ -2,10 +2,10 @@
 
 Every command writes a single JSON report to standard output and reserves
 standard error for diagnostics.  Exit codes: 0 pass, 1 a hard check failed,
-2 usage or input error, 3 a documented reference discrepancy was reproduced
-(never silently passed).  Reports are deterministic for fixed flags and
-embed the artifact version.  They are written with two-space indent and
-sorted keys by `degex.dumps`, byte-identical to
+2 usage, input or output error, 3 a documented reference discrepancy was
+reproduced (never silently passed).  Reports are deterministic for fixed
+flags and embed the artifact version.  They are written with two-space
+indent and sorted keys by `degex.dumps`, byte-identical to
 `json.dumps(report, indent=2, sort_keys=True)`.
 
 `run` writes every report: a command returns its results and status, and
@@ -13,14 +13,16 @@ the report's command and inputs are the parsed arguments, so the parser is
 the one owner of each command's argument list.  A census mismatch fails
 (exit 1) every command that builds the Hilbert-square complex, with an
 `internal_inconsistency` report in place of its results.  `expand` fails
-unless the expansion glues, passes the torus check, has the sphere's Euler
-characteristic 2 and has the f-vector `expansion.f_vector_target` predicts.
-One parser, built by the first `run`, serves every later run in the process.
+unless the expansion glues, passes the torus check and has the f-vector
+`expansion.f_vector_target` predicts.  One parser, built by the first `run`,
+serves every later run in the process.  `main` turns a standard output
+closed before the report is written into exit 2 with one stderr line.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, dumps, parse_fraction
@@ -36,13 +38,7 @@ from .expansion import (
     get_assignment,
     subdivide,
 )
-from .hilb import (
-    INDEX_CONVENTION_NOTE,
-    EnumerationMismatch,
-    build_pi,
-    compare_with_reference,
-    homology_report,
-)
+from .hilb import EnumerationMismatch, build_pi, compare_with_reference, homology_report
 from .models import find_3_labeling, get_model, model_report
 
 EXIT_PASS = 0
@@ -153,9 +149,8 @@ def cmd_expand(args) -> tuple[dict, str]:
     torus = check_torus_compatibility(E)
     expanded = expanded_complex_report(E)
     results = {"expanded": expanded, "gluing": gluing.to_json_obj(), "torus": torus.to_json_obj()}
-    # the expansion subdivides the model's sphere, so its Euler characteristic is 2
-    ok = gluing.glues and torus.compatible and expanded["euler_characteristic"] == 2
-    ok = ok and expanded["f_vector"] == list(f_vector_target(model, args.n))
+    target = list(f_vector_target(model, args.n))
+    ok = gluing.glues and torus.compatible and expanded["f_vector"] == target
     return results, "pass" if ok else "fail"
 
 
@@ -191,34 +186,29 @@ def cmd_certify(args) -> tuple[dict, str]:
 
 
 def cmd_charts_verify(args) -> tuple[dict, str]:
-    sample_report = verify_samples(args.n, args.samples, args.seed)
-    torus_report = verify_torus_pairs(args.n, args.pairs, args.seed)
+    samples = verify_samples(args.n, args.samples, args.seed)
+    torus = verify_torus_pairs(args.n, args.pairs, args.seed)
     coincidence = {
         str(k): delta_coincidence_check(args.n, k, seed=args.seed)
         for k in range(1, args.n + 1)
     }
-    ok = sample_report["pass"] and torus_report["pass"] and all(coincidence.values())
-    results = {
-        "pass": ok,
-        "failures": sample_report["failures"] + torus_report["failures"],
-        "samples": sample_report,
-        "torus": torus_report,
-        "coincidence": coincidence,
-    }
+    ok = samples["pass"] and torus["pass"] and all(coincidence.values())
+    results = {"samples": samples, "torus": torus, "coincidence": coincidence}
     return results, "pass" if ok else "fail"
 
 
 def cmd_hilb_count(args) -> tuple[dict, str]:
     K, breakdowns = build_pi(get_model(args.model), m=args.m)
-    fv = list(f_vector(K))
-    results = {"m": args.m, "f_vector": fv, "index_convention": INDEX_CONVENTION_NOTE}
+    fv = f_vector(K)
+    reference = compare_with_reference(fv, args.model, m=args.m)
+    # build_pi has already matched the census of every level to its cells
+    results = {
+        "f_vector": list(fv),
+        "euler": euler_of_counts(fv),
+        "reference_comparison": reference,
+    }
     if breakdowns:
         results["breakdowns"] = [b.to_json_obj() for b in breakdowns]
-        results["case_f_vector"] = [b.total() for b in breakdowns]
-        results["agreement"] = results["case_f_vector"] == fv
-    results["euler"] = euler_of_counts(fv)
-    reference = compare_with_reference(fv, args.model, m=args.m)
-    results["reference_comparison"] = reference
     return results, "flagged" if reference["flags"] else "pass"
 
 
@@ -345,4 +335,13 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed standard output; point it at the null device, or
+        # the flush at exit raises again and Python prints that to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"degex: error: cannot write the report: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.exit(code)

@@ -150,18 +150,22 @@ LABEL_ORDER = (1, 3, 2)
 
 
 def get_assignment(model: SurfaceModel, kind: str) -> BlowupAssignment:
-    if kind == "default":
-        if model.name != "quartic":
-            raise ValueError("the default assignment is defined for the quartic model")
+    """The assignment of a vertex order.  "labeling" orders a 3-labeling by
+    LABEL_ORDER.  "default" is the model's own order: QUARTIC_ORDER on the
+    quartic, else a 3-labeling's, else the sorted vertex order.  Every vertex
+    order glues."""
+    if kind not in ("default", "labeling"):
+        raise ValueError(f"unknown assignment kind: {kind}")
+    if kind == "default" and model.name == "quartic":
         return assignment_from_order(model, QUARTIC_ORDER)
-    if kind == "labeling":
-        labeling = find_3_labeling(model)
-        if labeling is None:
-            raise ValueError(f"model {model.name} admits no 3-labeling")
-        return assignment_from_order(
-            model, sorted(labeling, key=lambda v: LABEL_ORDER.index(labeling[v]))
-        )
-    raise ValueError(f"unknown assignment kind: {kind}")
+    labeling = find_3_labeling(model)
+    if labeling is not None:
+        order = sorted(labeling, key=lambda v: LABEL_ORDER.index(labeling[v]))
+    elif kind == "labeling":
+        raise ValueError(f"model {model.name} admits no 3-labeling")
+    else:
+        order = sorted(model.vertices)
+    return assignment_from_order(model, order)
 
 
 def assignment_from_json_obj(model: SurfaceModel, obj) -> BlowupAssignment:

@@ -18,10 +18,10 @@ k+1.  The k+1 facet slots un-vanish one base coordinate each: slot i
 contracts segment t_i of the expansion's level grid (levels i-1 and i
 merge), and `expansion.grid_side` names where each component lands.  The
 maps read the gluing as `expansion.edge_orientation` and `edge_roles` of
-the assignment `builtin_assignment` picks; stable types read only the
-model.  The contractions satisfy the simplicial identities
-d_i d_j = d_{j-1} d_i for i < j, so the alternating-sign boundary squares
-to zero.
+the model's own vertex order, `expansion.get_assignment(model, "default")`;
+stable types read only the model.  The contractions satisfy the simplicial
+identities d_i d_j = d_{j-1} d_i for i < j, so the alternating-sign
+boundary squares to zero.
 
 The complex is built from one concept: every stable type is a cell, and its
 faces are given by the facet maps.  The build checks that every facet is
@@ -58,8 +58,7 @@ from .complexes import (
     f_vector,
     h1_torsion,
 )
-from .expansion import BlowupAssignment, assignment_from_order, edge_orientation, edge_roles
-from .expansion import get_assignment, grid_side
+from .expansion import edge_orientation, edge_roles, get_assignment, grid_side
 from .models import SurfaceModel, get_model
 
 # f-vector of the known 10-vertex simplicial triangulation of CP^2; the
@@ -68,20 +67,6 @@ from .models import SurfaceModel, get_model
 REFERENCE_CP2_10_VERTEX = (10, 45, 110, 120, 48)
 # published totals claimed for the cube complex, compared but never forced
 CUBE_CLAIMED_TOTALS = (21, 120, 420, 480, 192)
-
-INDEX_CONVENTION_NOTE = (
-    "k-simplices carry base codimension k+1; the alternative convention "
-    "(base codimension 5-k) is documented but not used"
-)
-
-
-def builtin_assignment(model: SurfaceModel) -> BlowupAssignment:
-    """The gluing assignment the complex is built with: the quartic's own, a
-    3-labeling's, or else the sorted vertex order, which glues too."""
-    try:
-        return get_assignment(model, "default" if model.name == "quartic" else "labeling")
-    except ValueError:  # no 3-labeling
-        return assignment_from_order(model, sorted(model.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +266,8 @@ class CaseBreakdown(NamedTuple):
     def cases(self) -> tuple[tuple[str, int], ...]:
         return tuple((name, len(types)) for name, types in self.families.items())
 
-    def total(self) -> int:
-        return sum(n for _, n in self.cases)
-
     def to_json_obj(self):
-        return {
-            "dim": self.dim,
-            "cases": [{"description": d, "count": n} for d, n in self.cases],
-            "total": self.total(),
-        }
+        return {"dim": self.dim, "cases": [{"description": d, "count": n} for d, n in self.cases]}
 
 
 def enumerate_cases(model: SurfaceModel, k: int) -> CaseBreakdown:
@@ -386,7 +364,7 @@ def build_pi(model: SurfaceModel, m: int = 2):
     dangling face id) or a collapse table that fails `table_violations`,
     all of them listed under the diff's "violations".
     """
-    assignment = builtin_assignment(model)
+    assignment = get_assignment(model, "default")
     roles = {t: edge_roles(assignment, t) for t in model.triangles}
     orientation = edge_orientation(model, assignment)
     levels = []
@@ -471,7 +449,6 @@ def compare_with_reference(fv, model_name: str, m: int = 2) -> dict:
     raises ValueError.
     """
     fv = tuple(fv)
-    report: dict = {"computed_f_vector": list(fv), "computed_euler": euler_of_counts(fv)}
     flags = []
     target_euler = m + 1
     if m == 1:
@@ -485,12 +462,6 @@ def compare_with_reference(fv, model_name: str, m: int = 2) -> dict:
     else:
         ref = CUBE_CLAIMED_TOTALS
         ref_name = "claimed cube totals"
-    report["reference"] = {
-        "name": ref_name,
-        "f_vector": list(ref),
-        "euler": euler_of_counts(ref),
-    }
-    report["matches_reference"] = fv == ref
     if euler_of_counts(ref) != target_euler:
         flags.append(
             f"reference f-vector has alternating sum {euler_of_counts(ref)}, "
@@ -503,8 +474,11 @@ def compare_with_reference(fv, model_name: str, m: int = 2) -> dict:
         flags.append(
             f"computed alternating sum {euler_of_counts(fv)} differs from target {target_euler}"
         )
-    report["flags"] = flags
-    return report
+    return {
+        "reference": {"name": ref_name, "f_vector": list(ref), "euler": euler_of_counts(ref)},
+        "matches_reference": fv == ref,
+        "flags": flags,
+    }
 
 
 def homology_report(model: SurfaceModel, m: int = 2) -> dict:

@@ -1,6 +1,7 @@
 """Independent reference computations that the tests compare against, and
 the fixtures and serializers that only the tests use."""
 import json
+from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, compress
@@ -13,10 +14,9 @@ from sympy.polys.matrices.normalforms import invariant_factors
 
 from degex.charts import ChartPoint
 from degex.complexes import Cell, DeltaComplex, boundary_matrix, f_vector
-from degex.expansion import BlowupAssignment
+from degex.expansion import BlowupAssignment, get_assignment
 from degex.hilb import (
     all_stable,
-    builtin_assignment,
     components_at_codim,
     point_str,
     type_key,
@@ -257,7 +257,7 @@ def key_per_facet_cells(model, m: int) -> list[Cell]:
     def key(c, points):
         return f"c{c}:" + label(points)
 
-    assignment = builtin_assignment(model)
+    assignment = get_assignment(model, "default")
     levels = []
     while types := stable_points(model, len(levels) + 1, m):
         levels.append(types)
@@ -560,6 +560,51 @@ def node_census(model, assignment, positions) -> dict:
             segments,
         )
     return census
+
+
+def _component_count(nodes, links) -> int:
+    """Connected components of the graph on `nodes` with the pairs `links`."""
+    parent = {x: x for x in nodes}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in links:
+        parent[root(a)] = root(b)
+    return sum(1 for x in parent if root(x) == x)
+
+
+def surface_problems(K: DeltaComplex) -> list[str]:
+    """What keeps a 2-dimensional complex from being a connected closed
+    surface, read from its face lists alone: an edge without two distinct
+    ends, a triangle without three distinct sides meeting pairwise in three
+    corners, a vertex whose link is not one cycle, or a second component.
+    The link of v has a node for each edge at v and an arc for each triangle
+    corner at v, joining the corner's two sides; it is one cycle when it has
+    a node, every node meets two arcs and the arcs connect the nodes."""
+    ends = {e.id: {f for f, _ in e.faces} for e in K.cells_of_dim(1)}
+    problems = [f"edge {e} has ends {sorted(vs)}" for e, vs in ends.items() if len(vs) != 2]
+    star = {v.id: set() for v in K.cells_of_dim(0)}
+    for e, vs in ends.items():
+        for v in vs:
+            star[v].add(e)
+    arcs = {v: [] for v in star}
+    for t in K.cells_of_dim(2):
+        corners = [(a, b, ends[a] & ends[b]) for a, b in combinations([f for f, _ in t.faces], 2)]
+        if len(corners) != 3 or any(a == b or len(vs) != 1 for a, b, vs in corners):
+            problems.append(f"triangle {t.id} has no three distinct corners")
+            continue
+        for a, b, (v,) in corners:
+            arcs[v].append((a, b))
+    for v, edges in star.items():
+        degree = Counter(x for arc in arcs[v] for x in arc)
+        if not edges or any(degree[e] != 2 for e in edges) or _component_count(edges, arcs[v]) > 1:
+            problems.append(f"the link of {v} is not one cycle")
+    if _component_count(star, (tuple(vs) for vs in ends.values() if len(vs) == 2)) > 1:
+        problems.append("the complex is not connected")
+    return problems
 
 
 def assignment_to_json_obj(assignment: BlowupAssignment) -> list[dict]:

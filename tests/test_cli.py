@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -34,11 +35,11 @@ README_SHA256 = {
     "degex certify-projectivity --tau 1/2 --all-edges":
         "3e87d1d63f8203c0344d36575d78fa2a19375c37718990736883bcd8be6d558f",
     "degex charts verify --n 2 --samples 1000 --seed 7":
-        "8d0e0c9df22c4cbe1ac67ef09a514fee607b58713a3dd6ae40e980a295bb4b27",
-    "degex hilb count quartic": "62db257461e8975d11b55774a9117c8266b1fc01b980906ada220407b6650ba2",
-    "degex hilb count cube": "12490fb1135686409671708acd27b82439a58b5d5294c037b2cde256b99a0f68",
+        "f6468fac5dcacad4c2d8e9bf8ae5221333fa1523329825e6b53616459fa6add0",
+    "degex hilb count quartic": "980a37ef0857aa5d95dc3373d6c01e46f0d5d4408ead0262896b88e95143d9b0",
+    "degex hilb count cube": "ddc31c6f3550eaae80629d514d92fe3160c61a9674341b73e9f6052488c7ec0e",
     "degex hilb count quartic --m 1":
-        "6ff7a53c09006a13f0c584462a7536c54901d5680ca3591f22c8e0ad23e1ac50",
+        "71cf50cfe6362bdec535c87cc4e2aa434511c99fa3ce7a96338d88e4d2d7645f",
     "degex hilb homology quartic":
         "483982a7da525967a75fcafe65bd26390410a93e7e7a449a1c9e8b3a9c8b1e8a",
     "degex export pi-quartic --format json -o pi_quartic.json":
@@ -78,6 +79,14 @@ def test_expand_default_passes(capsys):
     assert code == 0
     assert report["results"]["gluing"]["glues"]
     assert report["results"]["torus"]["compatible"]
+
+
+def test_expand_cube_defaults_to_its_labeling_order(capsys):
+    code, default = invoke(["expand", "cube", "--n", "1"], capsys)
+    assert code == 0
+    code, labeling = invoke(["expand", "cube", "--n", "1", "--assignment", "labeling"], capsys)
+    assert default["results"] == labeling["results"]
+    assert default["inputs"] == {**labeling["inputs"], "assignment": "default"}
 
 
 def test_expand_bad_assignment_fails_on_Y2_Y3(tmp_path, capsys):
@@ -200,8 +209,12 @@ def test_charts_verify(capsys):
         capsys,
     )
     assert code == 0
-    assert report["results"]["pass"]
-    assert report["results"]["coincidence"] == {"1": True}
+    assert report["status"] == "pass"
+    assert report["results"] == {
+        "samples": {"pass": True, "failures": []},
+        "torus": {"pass": True, "failures": []},
+        "coincidence": {"1": True},
+    }
 
 
 def test_charts_verify_fails_on_a_point_off_the_chart(monkeypatch, capsys):
@@ -219,10 +232,10 @@ def test_charts_verify_fails_on_a_point_off_the_chart(monkeypatch, capsys):
     )
     assert code == 1
     assert report["status"] == "fail"
-    results = report["results"]
-    assert not results["pass"] and not results["samples"]["pass"]
-    assert {"sample": 0, "failed_equations": ["x(1)", "y(n)-closure"]} in results["failures"]
-    assert {"sample": 0, "failed_equations": ["product-identity"]} in results["failures"]
+    samples = report["results"]["samples"]
+    assert not samples["pass"]
+    assert {"sample": 0, "failed_equations": ["x(1)", "y(n)-closure"]} in samples["failures"]
+    assert {"sample": 0, "failed_equations": ["product-identity"]} in samples["failures"]
 
 
 def test_hilb_count_quartic(capsys):
@@ -231,9 +244,10 @@ def test_hilb_count_quartic(capsys):
     assert report["status"] == "pass"
     res = report["results"]
     assert res["f_vector"] == [10, 45, 110, 120, 48]
-    assert res["agreement"] is True
     assert res["euler"] == 3
-    assert [b["total"] for b in res["breakdowns"]] == [10, 45, 110, 120, 48]
+    census = [sum(case["count"] for case in b["cases"]) for b in res["breakdowns"]]
+    assert census == [10, 45, 110, 120, 48]
+    assert [b["dim"] for b in res["breakdowns"]] == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize(
@@ -349,6 +363,26 @@ def test_module_invocation_subprocess():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["f_vector"] == [6, 12, 8]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hilb", "count", "cube"], ["expand", "cube", "--n", "24", "--assignment", "labeling"]],
+)
+def test_a_closed_stdout_is_one_line_usage_error(argv):
+    # the pipe's read end is closed before the command starts, so the
+    # report's first write fails, however short the report
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "degex", *argv], stdout=write, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("degex: error: ")
 
 
 def builtin_file(**changes):

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from degex.complexes import (
     euler_characteristic,
     f_vector,
     h1_torsion,
+    simplex_complex,
     to_json,
     validate,
 )
@@ -29,7 +30,7 @@ from degex.expansion import (
 )
 from degex.models import cube_model, quartic_model
 
-from oracles import bad_quartic_assignment, node_census
+from oracles import bad_quartic_assignment, node_census, surface_problems
 
 
 def closed_surface(K):
@@ -126,6 +127,15 @@ def test_default_assignment_pairs():
     assert a.pairs[("Y1", "Y2", "Y3")] == ("Y1", "Y2")
     assert a.pairs[("Y1", "Y3", "Y4")] == ("Y1", "Y3")
     assert a.pairs[("Y2", "Y3", "Y4")] == ("Y4", "Y2")
+
+
+def test_the_default_assignment_is_the_models_own_vertex_order():
+    # the quartic's order, else a 3-labeling's, else the sorted vertex order
+    # (which tests/test_hilb.py checks on a sphere without a 3-labeling)
+    m = cube_model()
+    assert get_assignment(m, "default").pairs == get_assignment(m, "labeling").pairs
+    with pytest.raises(ValueError, match="unknown assignment kind"):
+        get_assignment(m, "sorted")
 
 
 def test_subdivide_n0_returns_model():
@@ -547,6 +557,35 @@ def test_gluing_builds_meet_the_f_vector_target():
     # foreign points add cells: a build that does not glue can miss it
     E = subdivide(q, bad_quartic_assignment(), 2, (Fraction(1, 5), Fraction(1, 3)))
     assert f_vector(E.cells) == (48, 138, 92)
+
+
+def test_gluing_builds_are_connected_with_every_vertex_link_one_cycle():
+    # read from the cells alone: the built-in assignment and three random
+    # vertex orders of each model, at random positions
+    rng = random.Random(34)
+    for m in (quartic_model(), cube_model()):
+        orders = rng.sample(list(permutations(m.vertices)), 3)
+        assignments = [get_assignment(m, "default")]
+        assignments += [assignment_from_order(m, order) for order in orders]
+        for a in assignments:
+            for n in (1, 2, 3):
+                positions = sorted(Fraction(p, 97) for p in rng.sample(range(1, 97), n))
+                assert surface_problems(subdivide(m, a, n, positions).cells) == []
+
+
+def test_the_surface_oracle_refuses_a_hole_a_pinch_and_two_components():
+    tetrahedron = list(combinations("abcd", 3))
+    assert surface_problems(simplex_complex(tetrahedron)) == []
+    assert surface_problems(simplex_complex(tetrahedron[1:])) == [
+        "the link of v:a is not one cycle",
+        "the link of v:b is not one cycle",
+        "the link of v:c is not one cycle",
+    ]
+    # a second tetrahedron through a, and nothing else shared
+    pinched = tetrahedron + list(combinations("aefg", 3))
+    assert surface_problems(simplex_complex(pinched)) == ["the link of v:a is not one cycle"]
+    disjoint = tetrahedron + list(combinations("efgh", 3))
+    assert surface_problems(simplex_complex(disjoint)) == ["the complex is not connected"]
 
 
 def test_the_report_does_not_grow_with_the_depth():
